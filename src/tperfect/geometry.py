@@ -1,6 +1,6 @@
 """Exact rational polytope machinery: inequality systems, vertex enumeration
-by the double description method, an exact simplex solver, and the 0/1-hull
-helper used by round-trip tests.
+by the double description method, an exact simplex solver, hull membership
+and matrix rank.
 
 All arithmetic is exact.  Internally points are stored in homogeneous integer
 coordinates (den, x_1*den, ..., x_d*den); the public API speaks
@@ -9,10 +9,10 @@ coordinates (den, x_1*den, ..., x_d*den); the public API speaks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InfeasibleError,
@@ -26,10 +26,6 @@ QVec = tuple  # tuple of Fractions
 
 def qvec(values) -> QVec:
     return tuple(Fraction(v) for v in values)
-
-
-def constant_vector(dim: int, value) -> QVec:
-    return tuple(Fraction(value) for _ in range(dim))
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,9 @@ def _dd_enumerate(int_rows, dim):
     """Double description on integer rows (b, -a) meaning a.x <= b.
 
     Starts from a simplex strictly containing [-1, 1]^dim; returns the list of
-    (homogeneous point, tight row mask) pairs plus the count of artificial
-    rows (whose mask bits come first).  Raises if the feasible set touches the
-    artificial simplex, which signals unboundedness or an out-of-box input.
+    (homogeneous point, tight row mask) pairs, the artificial rows' mask bits
+    first.  Raises if the feasible set touches the artificial simplex, which
+    signals unboundedness or an out-of-box input.
     """
     d = dim
     # artificial rows: x_i >= -2 and sum x <= 2d + 1
@@ -186,7 +182,7 @@ def _dd_enumerate(int_rows, dim):
         kept += list(new_points.items())
         verts = kept
         if not verts:
-            return [], n_art, rows
+            return []
 
     art_mask = (1 << n_art) - 1
     for p, m in verts:
@@ -194,7 +190,7 @@ def _dd_enumerate(int_rows, dim):
             raise UnboundedPolytopeError(
                 "input system is unbounded or escapes the bounding box; a ray survives"
             )
-    return verts, n_art, rows
+    return verts
 
 
 def _homogeneous_to_qvec(point) -> QVec:
@@ -209,7 +205,7 @@ def enumerate_vertices(p: HPolytope) -> VRep:
     order in which inequalities are listed.
     """
     int_rows = [_row_to_int(ineq) for ineq in p.inequalities]
-    verts, _, _ = _dd_enumerate(int_rows, p.dim)
+    verts = _dd_enumerate(int_rows, p.dim)
     return VRep.from_points(_homogeneous_to_qvec(pt) for pt, _ in verts)
 
 
@@ -316,26 +312,6 @@ def solve_lp(a_rows, b, c):
     return value, tuple(x), y
 
 
-def lp_optimize(p: HPolytope, objective: QVec, sense: str = "max"):
-    """Exact LP over an H-polytope contained in the nonnegative unit box.
-
-    Returns (value, argpoint) where argpoint is an optimal vertex.  The
-    polytope must satisfy x >= 0 (all builders in this package do), since the
-    simplex runs in nonnegative variables.
-    """
-    if sense not in ("max", "min"):
-        raise PreconditionError("sense must be 'max' or 'min'")
-    c = [Fraction(v) for v in objective]
-    if sense == "min":
-        c = [-v for v in c]
-    a_rows = [list(ineq.coeffs) for ineq in p.inequalities]
-    b = [ineq.rhs for ineq in p.inequalities]
-    value, x, _ = solve_lp(a_rows, b, c)
-    if sense == "min":
-        value = -value
-    return value, tuple(x)
-
-
 def point_in_hull(points: Sequence[QVec], x: QVec) -> bool:
     """Exact membership of x in conv(points), decided by LP feasibility."""
     pts = [qvec(p) for p in points]
@@ -364,7 +340,7 @@ def point_in_hull(points: Sequence[QVec], x: QVec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# hulls of 0/1 points and redundancy removal
+# rank
 # ---------------------------------------------------------------------------
 
 
@@ -385,142 +361,3 @@ def _rank(rows_of_fracs) -> int:
         if rank == len(mat):
             break
     return rank
-
-
-def hull_of_01_points(points: Sequence) -> HPolytope:
-    """Facet system of the convex hull of a full-dimensional set of 0/1 points.
-
-    Facets are recovered as the extreme rays of the cone of valid inequalities
-    (a, b) with a.p <= b for every point p, enumerated inside a bounding box.
-    """
-    pts = sorted(set(tuple(int(v) for v in p) for p in points))
-    if not pts:
-        raise PreconditionError("no points")
-    d = len(pts[0])
-    for p in pts:
-        if any(v not in (0, 1) for v in p):
-            raise PreconditionError("points must be 0/1 vectors")
-    p0 = pts[0]
-    if len(pts) <= d or _rank([[pi - qi for pi, qi in zip(p, p0)] for p in pts[1:]]) < d:
-        raise PreconditionError("hull helper requires a full-dimensional point set")
-
-    # cone rows over z = (a, b): a.p - b <= 0  ->  (0, -(p, -1))
-    int_rows = [tuple([0] + [-v for v in p] + [1]) for p in pts]
-    # box |z_i| <= 1
-    for i in range(d + 1):
-        e = [0] * (d + 1)
-        e[i] = 1
-        int_rows.append(tuple([1] + [-v for v in e]))
-        int_rows.append(tuple([1] + list(e)))
-    verts, _, _ = _dd_enumerate(int_rows, d + 1)
-
-    cone_rows = [tuple([-v for v in p] + [1]) for p in pts]  # as vectors in R^{d+1}
-    facets = {}
-    for pt, _mask in verts:
-        z = _homogeneous_to_qvec(pt)
-        if all(v == 0 for v in z):
-            continue
-        tight = [r for r in cone_rows if sum(Fraction(ri) * zi for ri, zi in zip(r, z)) == 0]
-        if not tight or _rank(tight) != d:
-            continue
-        den = 1
-        for v in z:
-            den = _lcm(den, v.denominator)
-        vec = [int(v * den) for v in z]
-        g = 0
-        for v in vec:
-            g = gcd(g, abs(v))
-        vec = tuple(v // g for v in vec)
-        a, bb = vec[:d], vec[d]
-        if all(v == 0 for v in a):
-            continue  # trivial ray 0 <= b
-        facets[(a, bb)] = Inequality(qvec(a), Fraction(bb), tag="hull", source=())
-    return HPolytope(dim=d, inequalities=tuple(facets[k] for k in sorted(facets)))
-
-
-def remove_redundant(p: HPolytope) -> HPolytope:
-    """Drop inequalities implied by the rest.
-
-    Redundancy is probed by exact LP inside the shifted box [-1, 2]^dim, which
-    is conservative and exact for polytopes contained in the unit box.
-    """
-    kept = list(p.inequalities)
-    i = 0
-    while i < len(kept):
-        probe = kept[:i] + kept[i + 1 :]
-        # variables u = x + 1 in [0, 3]
-        a_rows, b = [], []
-        for ineq in probe:
-            a_rows.append(list(ineq.coeffs))
-            b.append(ineq.rhs + sum(ineq.coeffs))
-        for j in range(p.dim):
-            e = [Fraction(0)] * p.dim
-            e[j] = Fraction(1)
-            a_rows.append(e)
-            b.append(Fraction(3))
-        target = kept[i]
-        try:
-            value, _, _ = solve_lp(a_rows, b, list(target.coeffs))
-        except InfeasibleError:
-            kept.pop(i)
-            continue
-        if value - sum(target.coeffs) <= target.rhs:
-            kept.pop(i)
-        else:
-            i += 1
-    return HPolytope(dim=p.dim, inequalities=tuple(kept))
-
-
-# ---------------------------------------------------------------------------
-# serialization (line-oriented exact-rational text)
-# ---------------------------------------------------------------------------
-
-
-def _frac_str(v: Fraction) -> str:
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
-def serialize_hpolytope(p: HPolytope) -> str:
-    lines = [f"H {p.dim} {len(p.inequalities)}"]
-    for ineq in p.inequalities:
-        coeffs = " ".join(_frac_str(c) for c in ineq.coeffs)
-        src = ",".join(str(s) for s in ineq.source)
-        lines.append(f"{coeffs} | {_frac_str(ineq.rhs)} | {ineq.tag} | {src}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_hpolytope(text: str) -> HPolytope:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag_line = lines[0].split()
-    if tag_line[0] != "H":
-        raise PreconditionError("not an H-polytope document")
-    dim, m = int(tag_line[1]), int(tag_line[2])
-    ineqs = []
-    for ln in lines[1 : 1 + m]:
-        coeff_part, rhs_part, tag, src = (part.strip() for part in ln.split("|"))
-        coeffs = qvec([_parse_frac(s) for s in coeff_part.split()])
-        source = tuple(s for s in src.split(",") if s)
-        ineqs.append(Inequality(coeffs, _parse_frac(rhs_part), tag=tag, source=source))
-    return HPolytope(dim=dim, inequalities=tuple(ineqs))
-
-
-def serialize_vrep(v: VRep) -> str:
-    lines = [f"V {v.dim} {len(v.vertices)}"]
-    for pt in v.vertices:
-        lines.append(" ".join(_frac_str(c) for c in pt))
-    return "\n".join(lines) + "\n"
-
-
-def parse_vrep(text: str) -> VRep:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag_line = lines[0].split()
-    if tag_line[0] != "V":
-        raise PreconditionError("not a V-representation document")
-    k = int(tag_line[2])
-    return VRep(tuple(tuple(_parse_frac(s) for s in ln.split()) for ln in lines[1 : 1 + k]))

@@ -25,8 +25,7 @@ from .graphs import Graph, label_key
 
 def to_graph6(g: Graph) -> str:
     """graph6 string; vertices are relabelled 0..n-1 in canonical label order."""
-    order = sorted(g.vertices, key=label_key)
-    index = {v: i for i, v in enumerate(order)}
+    index = {v: i for i, v in enumerate(g.vertices)}
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from((index[u], index[v]) for u, v in g.edges())
@@ -46,8 +45,7 @@ def from_graph6(text: str) -> Graph:
 def to_edge_list(g: Graph) -> str:
     """Header line "n m", then one "u v" line per edge, 0-based in canonical
     label order."""
-    order = sorted(g.vertices, key=label_key)
-    index = {v: i for i, v in enumerate(order)}
+    index = {v: i for i, v in enumerate(g.vertices)}
     lines = [f"{g.n} {g.m}"]
     lines += sorted(
         f"{min(index[u], index[v])} {max(index[u], index[v])}" for u, v in g.edges()
@@ -104,14 +102,15 @@ def encode_label(v):
 def decode_label(v):
     if isinstance(v, list):
         return tuple(decode_label(x) for x in v)
+    if isinstance(v, dict):
+        raise PreconditionError(f"a JSON object is not a vertex label: {v!r}")
     return v
 
 
 def to_json_graph(g: Graph) -> str:
-    order = sorted(g.vertices, key=label_key)
     adjacency = [
         [encode_label(v), [encode_label(w) for w in sorted(g.neighbours(v), key=label_key)]]
-        for v in order
+        for v in g.vertices
     ]
     return json.dumps({"adjacency": adjacency}, indent=2)
 
@@ -185,6 +184,8 @@ def parse_colouring(data: dict):
     from .colouring import Colouring
 
     assignment = {parse_label(k): v for k, v in data["assignment"].items()}
+    if not all(type(c) is int for c in [data["num_colours"], *assignment.values()]):
+        raise PreconditionError("colour counts and colours must be JSON integers")
     return Colouring(assignment=assignment, num_colours=data["num_colours"])
 
 
@@ -251,6 +252,8 @@ def parse_wheel_witness(data: dict):
 
 def identify_certificate(data: dict) -> str:
     """Classify a certificate JSON object by its members."""
+    if not isinstance(data, dict):
+        raise PreconditionError("a certificate must be a JSON object")
     if "kind" in data and "certificate" in data:
         return "certificate"
     if "assignment" in data and "num_colours" in data:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable
 
 import networkx as nx
 
@@ -152,10 +152,6 @@ class Graph:
                     queue.append(w)
         return dist
 
-    def distance(self, u, v) -> Optional[int]:
-        """Graph distance, or None if u and v are in different components."""
-        return self.bfs_distances(u).get(v)
-
     def connected_components(self) -> list:
         seen = set()
         comps = []
@@ -195,11 +191,6 @@ class Graph:
         dist = self.bfs_distances(v)
         return frozenset(u for u, d in dist.items() if d <= r)
 
-    def sphere(self, v, r: int) -> frozenset:
-        """All vertices at distance exactly r from v."""
-        dist = self.bfs_distances(v)
-        return frozenset(u for u, d in dist.items() if d == r)
-
 
 @dataclass(frozen=True)
 class Levelling:
@@ -210,9 +201,6 @@ class Levelling:
 
     def depth(self) -> int:
         return len(self.levels) - 1
-
-    def level_of(self) -> dict:
-        return {v: i for i, level in enumerate(self.levels) for v in level}
 
 
 def bfs_levelling(g: Graph, root) -> Levelling:

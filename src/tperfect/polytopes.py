@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import networkx as nx
 
@@ -21,11 +21,10 @@ from .geometry import (
     Inequality,
     VRep,
     enumerate_vertices,
-    point_in_hull,
     qvec,
     _rank,
 )
-from .graphs import Graph, is_stable, label_key
+from .graphs import Graph, label_key
 
 # Vertex enumeration cost grows quickly with dimension; refuse above this.
 POLYTOPE_DIM_CAP = 16
@@ -33,7 +32,7 @@ POLYTOPE_DIM_CAP = 16
 
 def vertex_order(g: Graph) -> tuple:
     """The fixed coordinate order used by every polytope built from g."""
-    return tuple(sorted(g.vertices, key=label_key))
+    return g.vertices
 
 
 def incidence_vector(order: tuple, subset) -> tuple:
@@ -95,16 +94,6 @@ def chordless_odd_cycles(g: Graph) -> list:
     return sorted(found, key=lambda t: (len(t), tuple(label_key(v) for v in t)))
 
 
-def all_odd_cycles(g: Graph) -> list:
-    """All simple cycles of odd length (not only chordless ones)."""
-    found = {
-        _canonical_cycle(c)
-        for c in nx.simple_cycles(g.to_networkx())
-        if len(c) % 2 == 1
-    }
-    return sorted(found, key=lambda t: (len(t), tuple(label_key(v) for v in t)))
-
-
 def _nonneg_rows(order) -> list:
     rows = []
     for i, v in enumerate(order):
@@ -120,12 +109,12 @@ def _subset_row(order, subset, rhs, tag, source) -> Inequality:
     return Inequality(coeffs, Fraction(rhs), tag=tag, source=source)
 
 
-def tstab(g: Graph, cycles: str = "chordless") -> HPolytope:
+def tstab(g: Graph) -> HPolytope:
     """Edge and odd-cycle relaxation of the stable set polytope.
 
-    ``cycles`` selects which odd cycles contribute rows; the chordless ones
-    already determine the polytope, ``"all"`` adds the implied rows too.
-    Isolated vertices get an explicit x_v <= 1 row to keep the system bounded.
+    Only chordless odd cycles contribute rows: they already determine the
+    polytope.  Isolated vertices get an explicit x_v <= 1 row to keep the
+    system bounded.
     """
     order = vertex_order(g)
     rows = _nonneg_rows(order)
@@ -134,8 +123,7 @@ def tstab(g: Graph, cycles: str = "chordless") -> HPolytope:
     for v in order:
         if g.degree(v) == 0:
             rows.append(_subset_row(order, (v,), 1, "edge", (v,)))
-    cyc_fn = chordless_odd_cycles if cycles == "chordless" else all_odd_cycles
-    for cyc in cyc_fn(g):
+    for cyc in chordless_odd_cycles(g):
         rows.append(_subset_row(order, cyc, (len(cyc) - 1) // 2, "oddcycle", tuple(cyc)))
     return HPolytope(dim=len(order), inequalities=tuple(rows))
 
@@ -150,15 +138,14 @@ def qstab(g: Graph) -> HPolytope:
     return HPolytope(dim=len(order), inequalities=tuple(rows))
 
 
-def hstab(g: Graph, cycles: str = "chordless") -> HPolytope:
+def hstab(g: Graph) -> HPolytope:
     """Clique and odd-cycle relaxation (intersection of the two above)."""
     order = vertex_order(g)
     rows = _nonneg_rows(order)
     for clq in maximal_cliques(g):
         src = tuple(sorted(clq, key=label_key))
         rows.append(_subset_row(order, clq, 1, "clique", src))
-    cyc_fn = chordless_odd_cycles if cycles == "chordless" else all_odd_cycles
-    for cyc in cyc_fn(g):
+    for cyc in chordless_odd_cycles(g):
         rows.append(_subset_row(order, cyc, (len(cyc) - 1) // 2, "oddcycle", tuple(cyc)))
     return HPolytope(dim=len(order), inequalities=tuple(rows))
 
@@ -212,10 +199,16 @@ class ImperfectionWitness:
 def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
     """Audit a fractional-vertex witness from scratch.
 
-    Checks that the point lies in the claimed relaxation, is a vertex of it
-    (tight rows of full rank), has a non-integral coordinate, and lies outside
-    the stable set polytope.  Raises VerificationError naming the first
-    violated clause.
+    Checks three clauses: the point lies in the claimed relaxation P, it is a
+    vertex of P (its tight rows have full rank), and it has a non-integral
+    coordinate.  Raises VerificationError naming the first violated clause.
+
+    Together these prove that the point lies outside the stable set polytope
+    STAB(g).  Every row of ``tstab`` and ``hstab`` is valid for the incidence
+    vectors of stable sets, so STAB(g) is contained in P.  A point of STAB(g)
+    is a convex combination of such 0/1 vectors, all of them points of P; a
+    vertex of P is a convex combination of points of P only trivially, so a
+    vertex of P in STAB(g) would be one of those 0/1 vectors, and integral.
     """
     if w.relaxation == "tstab":
         p = tstab(g)
@@ -233,9 +226,6 @@ def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
         raise VerificationError("witness point is not a vertex of the relaxation")
     if all(c.denominator == 1 for c in x):
         raise VerificationError("witness point is integral")
-    stables = [incidence_vector(w.order, s) for s in all_stable_sets(g)]
-    if point_in_hull(stables, x):
-        raise VerificationError("witness point lies in the stable set polytope")
     return True
 
 

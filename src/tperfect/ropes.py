@@ -20,8 +20,10 @@ from collections import deque
 
 from .colouring import chi_exact
 from .errors import PreconditionError, VerificationError
+from .graphio import decode_label, encode_label
 from .graphs import (
     Graph,
+    bfs_levelling,
     covers,
     is_cycle_induced,
     is_path_induced,
@@ -95,28 +97,9 @@ class StableGrading:
 # ---------------------------------------------------------------------------
 
 
-def _encode_label(v):
-    if isinstance(v, tuple):
-        return [_encode_label(x) for x in v]
-    return v
-
-
-def _decode_label(v):
-    if isinstance(v, list):
-        return tuple(_decode_label(x) for x in v)
-    return v
-
-
-@dataclass(frozen=True)
-class ArithmeticRope:
-    """r anchor vertices joined in a cyclic order by odd/even path pairs."""
-
-    anchors: tuple  # (q_1, ..., q_r)
-    paths: tuple  # ((Q_{1,1}, Q_{1,2}), ..., (Q_{r,1}, Q_{r,2})), vertex lists
-
-    @property
-    def r(self) -> int:
-        return len(self.anchors)
+class _RopeParts:
+    """Vertex set and JSON form shared by ropes and broken ropes, which
+    differ in the JSON only by ``KIND``."""
 
     def vertices(self) -> frozenset:
         out = set(self.anchors)
@@ -128,10 +111,10 @@ class ArithmeticRope:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "kind": "rope",
-                "anchors": [_encode_label(q) for q in self.anchors],
+                "kind": self.KIND,
+                "anchors": [encode_label(q) for q in self.anchors],
                 "paths": [
-                    [[_encode_label(v) for v in p1], [_encode_label(v) for v in p2]]
+                    [[encode_label(v) for v in p1], [encode_label(v) for v in p2]]
                     for p1, p2 in self.paths
                 ],
             },
@@ -141,11 +124,25 @@ class ArithmeticRope:
 
 
 @dataclass(frozen=True)
-class BrokenRope:
+class ArithmeticRope(_RopeParts):
+    """r anchor vertices joined in a cyclic order by odd/even path pairs."""
+
+    KIND = "rope"
+    anchors: tuple  # (q_1, ..., q_r)
+    paths: tuple  # ((Q_{1,1}, Q_{1,2}), ..., (Q_{r,1}, Q_{r,2})), vertex lists
+
+    @property
+    def r(self) -> int:
+        return len(self.anchors)
+
+
+@dataclass(frozen=True)
+class BrokenRope(_RopeParts):
     """Like a rope but with r+1 anchors, no wrap-around path pair, and a
     designated end (the last anchor).  Every choice vector yields an induced
     path instead of a cycle."""
 
+    KIND = "broken_rope"
     anchors: tuple  # (q_1, ..., q_{r+1})
     paths: tuple  # ((Q_{i,1}, Q_{i,2}) for i = 1..r)
 
@@ -157,35 +154,14 @@ class BrokenRope:
     def end(self):
         return self.anchors[-1]
 
-    def vertices(self) -> frozenset:
-        out = set(self.anchors)
-        for p1, p2 in self.paths:
-            out.update(p1)
-            out.update(p2)
-        return frozenset(out)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "broken_rope",
-                "anchors": [_encode_label(q) for q in self.anchors],
-                "paths": [
-                    [[_encode_label(v) for v in p1], [_encode_label(v) for v in p2]]
-                    for p1, p2 in self.paths
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
 
 def rope_from_json(text: str):
     data = json.loads(text)
-    anchors = tuple(_decode_label(q) for q in data["anchors"])
+    anchors = tuple(decode_label(q) for q in data["anchors"])
     paths = tuple(
         (
-            [_decode_label(v) for v in p1],
-            [_decode_label(v) for v in p2],
+            [decode_label(v) for v in p1],
+            [decode_label(v) for v in p2],
         )
         for p1, p2 in data["paths"]
     )
@@ -606,10 +582,8 @@ def rope_induction_step(
             raise PreconditionError(f"chi(C) = {chi_c} below threshold {need}")
 
     # levelling of C + q from q
-    sub = g.induced_subgraph(c_set | {q})
-    dist_q = sub.bfs_distances(q)
-    depth = max(dist_q.values())
-    levels = [frozenset(v for v, d in dist_q.items() if d == i) for i in range(depth + 1)]
+    levelling = bfs_levelling(g.induced_subgraph(c_set | {q}), q)
+    levels, depth = levelling.levels, levelling.depth()
 
     # choose t >= 4 with chromatically richest M_{t+1}
     best_t = None
@@ -893,7 +867,7 @@ def _rope_from_chains(g: Graph, x_set) -> Optional[ArithmeticRope]:
     vertices and reassemble a rope when the chains form parallel odd/even
     pairs around a single anchor cycle."""
     sub = g.induced_subgraph(x_set)
-    branch = sorted((v for v in sub.vertices if sub.degree(v) >= 3), key=label_key)
+    branch = [v for v in sub.vertices if sub.degree(v) >= 3]
     if len(branch) < 2:
         return None
     branch_set = set(branch)
@@ -1044,11 +1018,8 @@ def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> Optional[ArithmeticR
         comp = comps[0]
     else:
         comp, _ = _max_chi_component(g, x_set)
-    sub = g.induced_subgraph(comp)
-    root = min(comp, key=label_key)
-    dist = sub.bfs_distances(root)
-    depth = max(dist.values())
-    levels = [frozenset(v for v, d in dist.items() if d == i) for i in range(depth + 1)]
+    levelling = bfs_levelling(g.induced_subgraph(comp), min(comp, key=label_key))
+    levels, depth = levelling.levels, levelling.depth()
     best = None
     for s in range(4, depth):
         k, _ = chi_exact(g.induced_subgraph(levels[s + 1]))

@@ -99,6 +99,21 @@ class TraceBuilder:
         self.classes[rep] = new_class
         self.steps.append(TMinorStep("tcontract", v))
 
+    def apply(self, step: TMinorStep):
+        if step.kind == "delete":
+            self.delete(step.vertex)
+        else:
+            self.tcontract(step.vertex)
+
+    def copy(self) -> "TraceBuilder":
+        """An independent builder at the same point of the same trace."""
+        other = TraceBuilder.__new__(TraceBuilder)
+        other.base = self.base
+        other.graph = self.graph
+        other.steps = list(self.steps)
+        other.classes = dict(self.classes)
+        return other
+
     def trace(self) -> TMinorTrace:
         return TMinorTrace(
             base=self.base,
@@ -115,19 +130,34 @@ def t_contract(g: Graph, v):
     return builder.graph, dict(builder.classes)
 
 
+def _replayed(base: Graph, steps) -> TraceBuilder:
+    builder = TraceBuilder(base)
+    for step in steps:
+        builder.apply(step)
+    return builder
+
+
 def replay(trace: TMinorTrace) -> bool:
     """Re-apply the recorded steps and audit result and contraction map."""
-    builder = TraceBuilder(trace.base)
-    for step in trace.steps:
-        if step.kind == "delete":
-            builder.delete(step.vertex)
-        else:
-            builder.tcontract(step.vertex)
+    builder = _replayed(trace.base, trace.steps)
     if builder.graph != trace.result:
         raise VerificationError("trace replay produced a different result graph")
     if builder.classes != trace.contraction_map:
         raise VerificationError("trace replay produced a different contraction map")
     return True
+
+
+def _cycle_order(cycle_graph: Graph) -> list:
+    """Vertices of a graph that is one cycle, in cyclic order: from the
+    smallest label towards the smaller of its two neighbours."""
+    start = cycle_graph.vertices[0]
+    prev, cur, order = None, start, []
+    while True:
+        order.append(cur)
+        nxt = [w for w in cycle_graph.neighbours(cur) if w != prev]
+        prev, cur = cur, min(nxt, key=label_key) if len(order) == 1 else nxt[0]
+        if cur == start:
+            return order
 
 
 def is_odd_wheel(g: Graph):
@@ -148,16 +178,7 @@ def is_odd_wheel(g: Graph):
     rim_graph = g.induced_subgraph(rim_vertices)
     if any(rim_graph.degree(v) != 2 for v in rim_vertices) or not rim_graph.is_connected():
         return None
-    # walk the rim in cyclic order, starting at the smallest label
-    start = min(rim_vertices, key=label_key)
-    prev, cur = None, start
-    cycle = []
-    while True:
-        cycle.append(cur)
-        nxt = [w for w in rim_graph.neighbours(cur) if w != prev]
-        prev, cur = cur, min(nxt, key=label_key) if len(cycle) == 1 else nxt[0]
-        if cur == start:
-            break
+    cycle = _cycle_order(rim_graph)
     if len(cycle) % 2 == 0:
         return None
     return hub, cycle
@@ -225,16 +246,7 @@ def _contract_to_wheel(builder: TraceBuilder, hub) -> OddWheelWitness:
             "contraction loop did not terminate in an odd wheel",
             detail={"result": result},
         )
-    rim_vertices = [u for u in result.vertices if u != hub]
-    rim_graph = result.induced_subgraph(rim_vertices)
-    start = min(rim_vertices, key=label_key)
-    prev, cur, rim_cycle = None, start, []
-    while True:
-        rim_cycle.append(cur)
-        nxt = [w for w in rim_graph.neighbours(cur) if w != prev]
-        prev, cur = cur, min(nxt, key=label_key) if len(rim_cycle) == 1 else nxt[0]
-        if cur == start:
-            break
+    rim_cycle = _cycle_order(result.delete_vertices([hub]))
     witness = OddWheelWitness(trace=builder.trace(), hub=hub, rim=tuple(rim_cycle))
     verify_odd_wheel_witness(witness)
     return witness
@@ -370,21 +382,14 @@ def _empty_trace_witness(g: Graph) -> Optional[OddWheelWitness]:
 
 def _hub_structure(g: Graph):
     """Detect 'induced odd cycle plus one vertex with an odd-arc triple'."""
-    for v in sorted(g.vertices, key=label_key):
+    for v in g.vertices:
         rest = [u for u in g.vertices if u != v]
         sub = g.induced_subgraph(rest)
         if any(sub.degree(u) != 2 for u in rest) or not sub.is_connected():
             continue
         if len(rest) % 2 == 0 or len(rest) < 3:
             continue
-        start = min(rest, key=label_key)
-        prev, cur, cycle = None, start, []
-        while True:
-            cycle.append(cur)
-            nxt = [w for w in sub.neighbours(cur) if w != prev]
-            prev, cur = cur, min(nxt, key=label_key) if len(cycle) == 1 else nxt[0]
-            if cur == start:
-                break
+        cycle = _cycle_order(sub)
         anchors = [u for u in cycle if g.has_edge(u, v)]
         if len(anchors) >= 3 and _odd_arc_triple(cycle, anchors) is not None:
             return cycle, v
@@ -409,7 +414,9 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
         return extract_wheel_from_hub(g, cycle, v)
 
     # exhaustive breadth-first search over traces, memoized on a canonical
-    # hash (collisions only lose completeness: every hit is re-verified)
+    # hash (collisions only lose completeness: every hit is re-verified).
+    # The queue holds step tuples; each popped trace is replayed once and
+    # its children branch off copies of that builder.
     from collections import deque
 
     def canon(h: Graph):
@@ -419,29 +426,15 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     queue = deque([tuple()])
     expanded = 0
     while queue and expanded < budget:
-        steps = queue.popleft()
+        builder = _replayed(g, queue.popleft())
         expanded += 1
-        builder = TraceBuilder(g)
-        for step in steps:
-            if step.kind == "delete":
-                builder.delete(step.vertex)
-            else:
-                builder.tcontract(step.vertex)
         h = builder.graph
-        for v in sorted(h.vertices, key=label_key):
+        for v in h.vertices:
             for kind in ("tcontract", "delete"):
                 if kind == "tcontract" and not is_stable(h, h.neighbours(v)):
                     continue
-                child = TraceBuilder(g)
-                for step in steps:
-                    if step.kind == "delete":
-                        child.delete(step.vertex)
-                    else:
-                        child.tcontract(step.vertex)
-                if kind == "delete":
-                    child.delete(v)
-                else:
-                    child.tcontract(v)
+                child = builder.copy()
+                child.apply(TMinorStep(kind, v))
                 res = child.graph
                 if res.n < 4 or res.bipartition() is not None:
                     continue

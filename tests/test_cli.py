@@ -134,3 +134,92 @@ def test_error_and_usage_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
     assert exc.value.code == 64
+
+
+def _k4_certificate(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "corpus:K4", "--json")
+    return json.loads(out)
+
+
+def _drop_point_key(capsys):
+    data = _k4_certificate(capsys, "tperfect")
+    data["point"].pop(next(iter(data["point"])))
+    return json.dumps(data)
+
+
+def _zero_denominator_weight(capsys):
+    data = _k4_certificate(capsys, "chistar")
+    data["sets"][0]["weight"] = "1/0"
+    return json.dumps(data)
+
+
+def _null_order(capsys):
+    data = _k4_certificate(capsys, "tperfect")
+    data["order"] = None
+    return json.dumps(data)
+
+
+def _assignment_as_list(capsys):
+    data = _k4_certificate(capsys, "chi")
+    data["assignment"] = list(data["assignment"].items())
+    return json.dumps(data)
+
+
+def _string_colour_count(capsys):
+    data = _k4_certificate(capsys, "chi")
+    data["num_colours"] = str(data["num_colours"])
+    return json.dumps(data)
+
+
+def _set_without_weight(capsys):
+    data = _k4_certificate(capsys, "chistar")
+    del data["sets"][0]["weight"]
+    return json.dumps(data)
+
+
+def _rope_text(capsys):
+    code, out, _ = run(capsys, "rope", "generate", "2", "7", "8")
+    return json.dumps(json.loads(out)["rope"])
+
+
+def _rope_with_object_label(capsys):
+    rope = json.loads(_rope_text(capsys))
+    rope["anchors"][0] = {"q": 1}
+    return json.dumps(rope)
+
+
+@pytest.mark.parametrize(
+    "command, make_text",
+    [
+        ("verify", _drop_point_key),
+        ("verify", _zero_denominator_weight),
+        ("verify", _null_order),
+        ("verify", _assignment_as_list),
+        ("verify", _string_colour_count),
+        ("verify", _set_without_weight),
+        ("verify", lambda capsys: "[1, 2]"),
+        ("rope verify", None),
+        ("rope verify", lambda capsys: _rope_text(capsys)[:40]),
+        ("rope verify", _rope_with_object_label),
+    ],
+    ids=[
+        "point-missing-key",
+        "weight-1/0",
+        "order-null",
+        "assignment-list",
+        "colour-count-string",
+        "set-without-weight",
+        "top-level-list",
+        "rope-file-missing",
+        "rope-file-truncated",
+        "rope-label-object",
+    ],
+)
+def test_malformed_certificates_are_usage_errors(capsys, tmp_path, command, make_text):
+    path = tmp_path / "cert.json"
+    if make_text is not None:
+        path.write_text(make_text(capsys))
+    code, out, err = run(capsys, *command.split(), "corpus:K4", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,15 +8,8 @@ from tperfect.geometry import (
     HPolytope,
     Inequality,
     enumerate_vertices,
-    hull_of_01_points,
-    lp_optimize,
-    parse_hpolytope,
-    parse_vrep,
     point_in_hull,
     qvec,
-    remove_redundant,
-    serialize_hpolytope,
-    serialize_vrep,
     solve_lp,
 )
 
@@ -59,9 +51,11 @@ def test_unbounded_detected():
 
 
 def test_lp_on_square():
-    value, point = lp_optimize(box2(), qvec([1, 1]))
+    rows = [list(i.coeffs) for i in box2().inequalities]
+    rhs = [i.rhs for i in box2().inequalities]
+    value, point, _ = solve_lp(rows, rhs, qvec([1, 1]))
     assert value == 2 and point == (F(1), F(1))
-    value, _ = lp_optimize(box2(), qvec([1, 1]), sense="min")
+    value, _, _ = solve_lp(rows, rhs, qvec([-1, -1]))
     assert value == 0
 
 
@@ -88,40 +82,6 @@ def test_point_in_hull():
     assert point_in_hull(pts, qvec([F(1, 3), F(1, 3)]))
     assert not point_in_hull(pts, qvec([F(2, 3), F(2, 3)]))
     assert point_in_hull(pts, qvec([0, 0]))
-
-
-def test_hull_roundtrip_01_points():
-    rng = random.Random(7)
-    for _ in range(10):
-        d = rng.randint(2, 4)
-        pts = {tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(2**d)}
-        pts |= {tuple(int(i == j) for i in range(d)) for j in range(d)}
-        pts.add(tuple([0] * d))
-        hull = hull_of_01_points(sorted(pts))
-        got = set(enumerate_vertices(hull).vertices)
-        # brute-force extreme points: a point is a vertex iff it is not in
-        # the hull of the others
-        expected = {
-            qvec(p)
-            for p in pts
-            if not point_in_hull([qvec(q) for q in pts if q != p], qvec(p))
-        }
-        assert got == expected
-
-
-def test_remove_redundant():
-    p = box2()
-    doubled = HPolytope(2, p.inequalities + (Inequality(qvec([1, 1]), F(5)),))
-    slim = remove_redundant(doubled)
-    assert enumerate_vertices(slim) == enumerate_vertices(p)
-    assert len(slim.inequalities) <= len(p.inequalities)
-
-
-def test_serialization_roundtrip():
-    p = box2()
-    assert parse_hpolytope(serialize_hpolytope(p)).inequalities == p.inequalities
-    v = enumerate_vertices(p)
-    assert parse_vrep(serialize_vrep(v)) == v
 
 
 def test_exactness_of_vertices():

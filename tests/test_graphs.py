@@ -60,7 +60,7 @@ def test_bfs_levelling():
 def test_levelling_edges_respect_levels():
     g = cycle(9)
     lv = bfs_levelling(g, 0)
-    where = lv.level_of()
+    where = {v: i for i, level in enumerate(lv.levels) for v in level}
     for u, v in g.edges():
         assert abs(where[u] - where[v]) <= 1
 
@@ -102,7 +102,7 @@ def test_derived_graphs():
     sides = g.bipartition()
     assert sides is not None and set(sides[0]) | set(sides[1]) == set(range(6))
     assert cycle(5).bipartition() is None
-    assert g.distance(0, 3) == 3
+    assert g.bfs_distances(0)[3] == 3
 
 
 def test_induced_paths_and_cycles():

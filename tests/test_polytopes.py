@@ -1,14 +1,17 @@
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
-from tperfect.errors import CapExceededError
-from tperfect.geometry import constant_vector, qvec
+from tperfect.errors import CapExceededError, VerificationError
+from tperfect.geometry import HPolytope, Inequality, point_in_hull, qvec
 from tperfect.graphs import Graph
 from tperfect.polytopes import (
     ImperfectionWitness,
+    all_stable_sets,
     complement_graph,
     hstab,
+    incidence_vector,
     is_h_perfect,
     is_hbar_perfect,
     is_t_perfect,
@@ -89,14 +92,21 @@ def test_containment_chain():
 
 def test_third_ones_always_in_tstab():
     for g in (cycle(5), cycle(9), complete(4), wheel(7)):
-        assert tstab(g).contains(constant_vector(g.n, F(1, 3)))
+        assert tstab(g).contains(qvec([F(1, 3)] * g.n))
 
 
 def test_all_cycles_mode_matches_chordless():
+    # the rows of odd cycles with chords are implied by the chordless ones
     for g in (cycle(5), complete(4), wheel(5)):
-        a = relaxation_vertices(g, tstab(g, cycles="chordless"))
-        b = relaxation_vertices(g, tstab(g, cycles="all"))
-        assert a == b
+        p = tstab(g)
+        order = vertex_order(g)
+        all_cycle_rows = tuple(
+            Inequality(incidence_vector(order, c), F((len(c) - 1) // 2), tag="oddcycle", source=tuple(c))
+            for c in nx.simple_cycles(g.to_networkx())
+            if len(c) % 2 == 1
+        )
+        with_all = HPolytope(p.dim, p.inequalities + all_cycle_rows)
+        assert relaxation_vertices(g, with_all) == relaxation_vertices(g, p)
 
 
 def test_t_vs_h_on_k4_free():
@@ -141,3 +151,37 @@ def test_witness_rejects_tampering():
 def test_vertex_order_deterministic():
     g = Graph(["b", "a", "c"], [("a", "b")])
     assert vertex_order(g) == ("a", "b", "c")
+
+
+def _witness_at(g, relaxation, point):
+    return ImperfectionWitness(relaxation=relaxation, order=vertex_order(g), point=qvec(point), tight_tags=())
+
+
+def test_witness_rejects_integral_vertex():
+    # (1, 0, 0, 0) is a vertex of tstab(K4), but an integral one
+    with pytest.raises(VerificationError, match="integral"):
+        verify_witness(complete(4), _witness_at(complete(4), "tstab", (1, 0, 0, 0)))
+
+
+def test_witness_rejects_interior_point():
+    with pytest.raises(VerificationError, match="not a vertex"):
+        verify_witness(complete(4), _witness_at(complete(4), "tstab", (F(1, 4),) * 4))
+
+
+def test_fractional_vertices_lie_outside_stab():
+    # verify_witness relies on "fractional vertex of the relaxation" implying
+    # "outside the stable set polytope"; check that against an exact hull LP
+    # on every graph with 1 to 6 vertices
+    graphs = [Graph.from_networkx(h) for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
+    assert len(graphs) == 208
+    checked = 0
+    for g in graphs:
+        stables = [incidence_vector(vertex_order(g), s) for s in all_stable_sets(g)]
+        for relaxation, p in (("tstab", tstab(g)), ("hstab", hstab(g))):
+            for x in relaxation_vertices(g, p).vertices:
+                if all(c.denominator == 1 for c in x):
+                    continue
+                assert verify_witness(g, _witness_at(g, relaxation, x))
+                assert not point_in_hull(stables, x)
+                checked += 1
+    assert checked == 259
