@@ -191,12 +191,6 @@ def chi_exact(g: Graph):
     return k, col
 
 
-def maximum_stable_set(g: Graph) -> frozenset:
-    comp = nx.complement(g.to_networkx())
-    clique, _ = nx.max_weight_clique(comp, weight=None)
-    return frozenset(clique)
-
-
 def clique_number(g: Graph) -> int:
     if g.n == 0:
         return 0
@@ -299,11 +293,10 @@ def reduce_odd_girth(g: Graph, ell: int) -> frozenset:
             "reduction set too small",
             detail={"set": s, "size": len(s), "required": Fraction(ell * g.n, 2 * ell + 1)},
         )
-    h = g.delete_vertices(s)
-    if odd_girth(h) < 2 * ell + 3:
+    cycle = shortest_odd_cycle(g.delete_vertices(s))
+    if cycle is not None and len(cycle) < 2 * ell + 3:
         raise VerificationError(
-            "odd girth did not rise",
-            detail={"set": s, "violating_cycle": shortest_odd_cycle(h)},
+            "odd girth did not rise", detail={"set": s, "violating_cycle": cycle}
         )
     return s
 

@@ -120,20 +120,22 @@ def from_json_graph(text: str) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise PreconditionError(f"malformed JSON graph at offset {e.pos}: {e.msg}") from e
-    if not isinstance(data, dict) or "adjacency" not in data:
-        raise PreconditionError("JSON graph needs an 'adjacency' member")
+    if not isinstance(data, dict) or not isinstance(data.get("adjacency"), list):
+        raise PreconditionError("JSON graph needs an 'adjacency' list")
     vertices = []
     edges = []
     for entry in data["adjacency"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
+            raise PreconditionError(f"adjacency entry is not [vertex, [neighbours]]: {entry!r}")
         v = decode_label(entry[0])
         vertices.append(v)
-        for w in entry[1]:
-            edges.append((v, decode_label(w)))
+        edges.extend((v, decode_label(w)) for w in entry[1])
     seen = set(vertices)
     for u, v in edges:
-        if u not in seen or v not in seen:
+        if v not in seen:
             raise PreconditionError(f"adjacency references unknown vertex {v!r}")
-    return Graph(vertices, [(u, v) for u, v in edges if label_key(u) < label_key(v)])
+    # Graph symmetrises one-sided entries and rejects loops
+    return Graph(vertices, edges)
 
 
 _FORMATS = {

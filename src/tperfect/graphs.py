@@ -8,6 +8,7 @@ by graph operators); :func:`label_key` gives them a single total order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,11 +59,12 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._vertices = tuple(sorted(adj, key=label_key))
+        key = {v: label_key(v) for v in vs}
+        self._vertices = tuple(sorted(adj, key=key.__getitem__))
         self._edges = tuple(
             sorted(
-                (tuple(sorted((u, v), key=label_key)) for u in adj for v in adj[u] if label_key(u) < label_key(v)),
-                key=lambda e: (label_key(e[0]), label_key(e[1])),
+                ((u, v) for u in adj for v in adj[u] if key[u] < key[v]),
+                key=lambda e: (key[e[0]], key[e[1]]),
             )
         )
 
@@ -97,9 +99,6 @@ class Graph:
 
     def has_edge(self, u, v) -> bool:
         return v in self.neighbours(u)
-
-    def closed_neighbourhood(self, v) -> frozenset:
-        return self.neighbours(v) | {v}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
@@ -146,7 +145,7 @@ class Graph:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in sorted(self._adj[u], key=label_key):
+            for w in self._adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
@@ -218,14 +217,6 @@ def is_stable(g: Graph, s: Iterable[Vertex]) -> bool:
     return all(not g.has_edge(u, v) for u, v in combinations(s, 2))
 
 
-def is_clique(g: Graph, s: Iterable[Vertex]) -> bool:
-    s = list(s)
-    for v in s:
-        if v not in g:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-    return all(g.has_edge(u, v) for u, v in combinations(s, 2))
-
-
 def covers(g: Graph, b: Iterable[Vertex], c: Iterable[Vertex]) -> bool:
     """True iff b and c are disjoint and every vertex of c has a neighbour in b."""
     b, c = set(b), set(c)
@@ -237,99 +228,50 @@ def covers(g: Graph, b: Iterable[Vertex], c: Iterable[Vertex]) -> bool:
     return all(g.neighbours(v) & b for v in c)
 
 
-def odd_girth(g: Graph):
-    """Length of a shortest odd cycle; math.inf when bipartite.
-
-    BFS on the bipartite double cover from each vertex: the shortest odd
-    closed walk through v has length dist((v,0),(v,1)), and the minimum over
-    v of that quantity is attained on a shortest odd cycle.
-    """
-    import math
-
-    best = math.inf
-    for v in g.vertices:
-        dist = {(v, 0): 0}
-        queue = deque([(v, 0)])
-        while queue:
-            u, p = queue.popleft()
-            d = dist[(u, p)]
-            if d >= best:
-                continue
-            for w in g.neighbours(u):
-                state = (w, 1 - p)
-                if state not in dist:
-                    dist[state] = d + 1
-                    queue.append(state)
-        if (v, 1) in dist:
-            best = min(best, dist[(v, 1)])
-    return best
-
-
 def shortest_odd_cycle(g: Graph):
-    """Vertex list of a shortest odd cycle, or None if bipartite."""
-    import math
+    """Vertex list of a shortest odd cycle in cyclic order, or None if bipartite.
 
-    og = odd_girth(g)
-    if og is math.inf:
-        return None
-    # recover a cycle: BFS with parents on the double cover from each vertex
-    for v in g.vertices:
-        parent = {(v, 0): None}
-        queue = deque([(v, 0)])
+    Level BFS from each root (Itai & Rodeh, SIAM J. Comput. 1978).  The first
+    edge joining two vertices of equal depth d closes an odd cycle through
+    their lowest common ancestor, of length at most 2d+1.  Distances along a
+    shortest odd cycle C are distances in g, so from a root on C such an edge
+    appears by depth (|C|-1)/2: the best cycle over all roots is a shortest
+    one.  A root is left as soon as 2d+1 reaches the best length found.
+    Neighbours are scanned in vertex order, so the cycle does not depend on
+    the hash seed.
+    """
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    adj = [sorted(rank[w] for w in g.neighbours(v)) for v in g.vertices]
+    best = None
+    for root in range(g.n):
+        depth = {root: 0}
+        parent = {root: root}
+        queue = deque([root])
         while queue:
-            state = queue.popleft()
-            u, p = state
-            for w in sorted(g.neighbours(u), key=label_key):
-                nxt = (w, 1 - p)
-                if nxt not in parent:
-                    parent[nxt] = state
-                    queue.append(nxt)
-        if (v, 1) not in parent:
-            continue
-        walk = []
-        state = (v, 1)
-        while state is not None:
-            walk.append(state[0])
-            state = parent[state]
-        if len(walk) - 1 != og:
-            continue
-        # the closed walk of minimum odd length is a simple cycle
-        cyc = walk[:-1]
-        if len(set(cyc)) == len(cyc):
-            return cyc
-    return None  # pragma: no cover - a witness always exists when og finite
+            u = queue.popleft()
+            d = depth[u]
+            if best is not None and 2 * d + 1 >= len(best):
+                break
+            for w in adj[u]:
+                if w not in depth:
+                    depth[w] = d + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif depth[w] == d:
+                    left, right = [u], [w]
+                    while left[-1] != right[-1]:
+                        left.append(parent[left[-1]])
+                        right.append(parent[right[-1]])
+                    best = left[::-1] + right[:-1]
+                    queue.clear()
+                    break
+    return None if best is None else [g.vertices[i] for i in best]
 
 
-def ball_chromatic_check(g: Graph, v, r: int) -> bool:
-    """True iff the induced subgraph on the closed r-ball around v is bipartite."""
-    return g.induced_subgraph(g.ball(v, r)).bipartition() is not None
-
-
-def induced_paths_between(g: Graph, u, v, max_length: int) -> list:
-    """All induced u-v paths of length at most max_length, as vertex lists."""
-    if u not in g or v not in g:
-        raise UnknownVertexError("unknown endpoint")
-    out = []
-
-    def extend(path):
-        last = path[-1]
-        if last == v:
-            out.append(list(path))
-            return
-        if len(path) - 1 >= max_length:
-            return
-        for w in sorted(g.neighbours(last), key=label_key):
-            if w in path:
-                continue
-            # keep the path induced: w may touch only the current last vertex
-            if any(g.has_edge(w, x) for x in path[:-1]):
-                continue
-            path.append(w)
-            extend(path)
-            path.pop()
-
-    extend([u])
-    return out
+def odd_girth(g: Graph):
+    """Length of a shortest odd cycle; math.inf when bipartite."""
+    cycle = shortest_odd_cycle(g)
+    return math.inf if cycle is None else len(cycle)
 
 
 def is_path_induced(g: Graph, path) -> bool:

@@ -109,6 +109,15 @@ def _subset_row(order, subset, rhs, tag, source) -> Inequality:
     return Inequality(coeffs, Fraction(rhs), tag=tag, source=source)
 
 
+def _odd_cycle_rows(g: Graph) -> tuple:
+    """One row sum(x_v for v in C) <= (|C|-1)/2 per chordless odd cycle C."""
+    order = vertex_order(g)
+    return tuple(
+        _subset_row(order, cyc, (len(cyc) - 1) // 2, "oddcycle", tuple(cyc))
+        for cyc in chordless_odd_cycles(g)
+    )
+
+
 def tstab(g: Graph) -> HPolytope:
     """Edge and odd-cycle relaxation of the stable set polytope.
 
@@ -123,9 +132,7 @@ def tstab(g: Graph) -> HPolytope:
     for v in order:
         if g.degree(v) == 0:
             rows.append(_subset_row(order, (v,), 1, "edge", (v,)))
-    for cyc in chordless_odd_cycles(g):
-        rows.append(_subset_row(order, cyc, (len(cyc) - 1) // 2, "oddcycle", tuple(cyc)))
-    return HPolytope(dim=len(order), inequalities=tuple(rows))
+    return HPolytope(dim=len(order), inequalities=tuple(rows) + _odd_cycle_rows(g))
 
 
 def qstab(g: Graph) -> HPolytope:
@@ -140,20 +147,8 @@ def qstab(g: Graph) -> HPolytope:
 
 def hstab(g: Graph) -> HPolytope:
     """Clique and odd-cycle relaxation (intersection of the two above)."""
-    order = vertex_order(g)
-    rows = _nonneg_rows(order)
-    for clq in maximal_cliques(g):
-        src = tuple(sorted(clq, key=label_key))
-        rows.append(_subset_row(order, clq, 1, "clique", src))
-    for cyc in chordless_odd_cycles(g):
-        rows.append(_subset_row(order, cyc, (len(cyc) - 1) // 2, "oddcycle", tuple(cyc)))
-    return HPolytope(dim=len(order), inequalities=tuple(rows))
-
-
-def ssp_vertices(g: Graph) -> VRep:
-    """Vertices of the stable set polytope: incidence vectors of stable sets."""
-    order = vertex_order(g)
-    return VRep.from_points(incidence_vector(order, s) for s in all_stable_sets(g))
+    q = qstab(g)
+    return HPolytope(dim=q.dim, inequalities=q.inequalities + _odd_cycle_rows(g))
 
 
 def relaxation_vertices(g: Graph, p: HPolytope) -> VRep:

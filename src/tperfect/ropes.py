@@ -321,6 +321,26 @@ def _component_sets(g: Graph, subset):
     return sub.connected_components()
 
 
+def _require_chi(g: Graph, subset, need, name: str, threshold: str) -> None:
+    """Strict-mode gate: raise PreconditionError unless chi(g[subset]) >= need.
+    chi <= |subset|, so a small subset settles the comparison for free."""
+    if len(subset) < need:
+        raise PreconditionError(f"chi({name}) <= {len(subset)} below {threshold} {need}")
+    k, _ = chi_exact(g.induced_subgraph(subset))
+    if k < need:
+        raise PreconditionError(f"chi({name}) = {k} below {threshold} {need}")
+
+
+def _richest_level(g: Graph, levels):
+    """The first t >= 4 maximising chi(g[levels[t + 1]]), or None when the
+    levelling has depth below 5."""
+    return max(
+        range(4, len(levels) - 1),
+        key=lambda t: chi_exact(g.induced_subgraph(levels[t + 1]))[0],
+        default=None,
+    )
+
+
 def _max_chi_component(g: Graph, subset):
     """Connected component of g[subset] with maximum chromatic number;
     deterministic tie-break.  Returns (component, chi)."""
@@ -574,29 +594,18 @@ def rope_induction_step(
         raise PreconditionError("g[C + q] not connected")
     if strict:
         need = induction_threshold(c) if threshold is None else threshold
-        # chi(C) <= |C|, so a small C settles the comparison for free
-        if len(c_set) < need:
-            raise PreconditionError(f"chi(C) <= {len(c_set)} below threshold {need}")
-        chi_c, _ = chi_exact(g.induced_subgraph(c_set))
-        if chi_c < need:
-            raise PreconditionError(f"chi(C) = {chi_c} below threshold {need}")
+        _require_chi(g, c_set, need, "C", "threshold")
 
     # levelling of C + q from q
     levelling = bfs_levelling(g.induced_subgraph(c_set | {q}), q)
     levels, depth = levelling.levels, levelling.depth()
 
-    # choose t >= 4 with chromatically richest M_{t+1}
-    best_t = None
-    for t in range(4, depth):
-        k, _ = chi_exact(g.induced_subgraph(levels[t + 1]))
-        if best_t is None or k > best_t[1]:
-            best_t = (t, k)
-    if best_t is None:
+    t = _richest_level(g, levels)
+    if t is None:
         raise VerificationError(
             "branch collapse: levelling from q has depth below 5",
             detail={"branch": "levelling", "depth": depth},
         )
-    t = best_t[0]
 
     far = levels[t + 1] - g.ball(q, 4)
     c_star, chi_star = _max_chi_component(g, far)
@@ -823,16 +832,7 @@ def build_broken_rope(
         raise PreconditionError("r must be at least 1")
     b_cur, c_cur, q_cur = frozenset(b_set), frozenset(c_set), q1
     if strict:
-        need = broken_rope_threshold(r, c)
-        if Fraction(len(c_cur)) < need:
-            raise PreconditionError(
-                f"chi(C) <= {len(c_cur)} below broken-rope threshold {need}"
-            )
-        chi_c, _ = chi_exact(g.induced_subgraph(c_cur))
-        if Fraction(chi_c) < need:
-            raise PreconditionError(
-                f"chi(C) = {chi_c} below broken-rope threshold {need}"
-            )
+        _require_chi(g, c_cur, broken_rope_threshold(r, c), "C", "broken-rope threshold")
     anchors = [q1]
     pairs = []
     for step in range(r, 0, -1):
@@ -986,16 +986,7 @@ def find_rope(
     if odd_girth(g) < 11:
         raise PreconditionError("odd girth below 11")
     if strict:
-        need = finder_threshold(r)
-        if Fraction(len(x_set)) < need:
-            raise PreconditionError(
-                f"chi(X) <= {len(x_set)} below finder threshold {need}"
-            )
-        chi_x, _ = chi_exact(g.induced_subgraph(x_set))
-        if Fraction(chi_x) < need:
-            raise PreconditionError(
-                f"chi(X) = {chi_x} below finder threshold {need}"
-            )
+        _require_chi(g, x_set, finder_threshold(r), "X", "finder threshold")
     failure_report = None
     try:
         rope = _find_rope_pipeline(g, x_set, r, c)
@@ -1020,16 +1011,11 @@ def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> Optional[ArithmeticR
         comp, _ = _max_chi_component(g, x_set)
     levelling = bfs_levelling(g.induced_subgraph(comp), min(comp, key=label_key))
     levels, depth = levelling.levels, levelling.depth()
-    best = None
-    for s in range(4, depth):
-        k, _ = chi_exact(g.induced_subgraph(levels[s + 1]))
-        if best is None or k > best[1]:
-            best = (s, k)
-    if best is None:
+    s = _richest_level(g, levels)
+    if s is None:
         raise VerificationError(
             "rope pipeline: levelling too shallow", detail={"depth": depth}
         )
-    s = best[0]
     c_comp, _ = _max_chi_component(g, levels[s + 1])
     q1_candidates = sorted(
         (v for v in levels[s] if g.neighbours(v) & c_comp), key=label_key

@@ -2,8 +2,14 @@ import functools
 import random
 
 import pytest
+from hypothesis import settings
 
 from tperfect.graphs import Graph
+
+# The same examples on every run, and no per-example deadline: timings on a
+# shared machine vary too much for one.
+settings.register_profile("tperfect", derandomize=True, deadline=None)
+settings.load_profile("tperfect")
 
 
 @functools.lru_cache(maxsize=1)

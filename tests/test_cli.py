@@ -83,6 +83,12 @@ def test_file_inputs(capsys, tmp_path):
         path.write_text(serialize_graph(g, fmt))
         code, out, _ = run(capsys, "tperfect", str(path))
         assert code == 0 and out.strip() == "true"
+    # malformed JSON graphs are usage errors (exit 2), not crashes (exit 1)
+    path = tmp_path / "bad.json"
+    for text in ('{"adjacency": 3}', '{"adjacency": [[0]]}', '{"adjacency": [[0, [0]]]}'):
+        path.write_text(text)
+        code, _, err = run(capsys, "oddgirth", str(path))
+        assert code == 2 and err.startswith("error:")
 
 
 def test_tcontract(capsys):

@@ -13,7 +13,6 @@ from tperfect.colouring import (
     clique_number,
     fractional_bound_check,
     hbar_colour,
-    maximum_stable_set,
     reduce_clique,
     reduce_odd_girth,
     verify_colouring,
@@ -143,7 +142,6 @@ def test_hbar_colour():
     assert chi_exact(g)[0] == 6
 
 
-def test_maximum_stable_set():
-    assert len(maximum_stable_set(cycle(7))) == 3
-    assert len(maximum_stable_set(complete(5))) == 1
+def test_clique_number():
+    assert clique_number(complete(5)) == 5
     assert clique_number(make("petersen")) == 2

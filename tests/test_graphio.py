@@ -71,13 +71,26 @@ def test_json_graph_roundtrip_with_tuple_labels():
     h = from_json_graph(to_json_graph(g))
     assert set(h.vertices) == set(g.vertices)
     assert set(h.edges()) == set(g.edges())
+    # an edge listed under one endpoint only counts whichever endpoint lists it
+    for text in ('{"adjacency": [[0, [1]], [1, []]]}', '{"adjacency": [[0, []], [1, [0]]]}'):
+        g = from_json_graph(text)
+        assert g == Graph([0, 1], [(0, 1)])
+        assert from_json_graph(to_json_graph(g)) == g
 
 
 def test_json_graph_malformed():
-    with pytest.raises(PreconditionError):
-        from_json_graph("{not json")
-    with pytest.raises(PreconditionError):
-        from_json_graph("{}")
+    for text in (
+        "{not json",
+        "{}",
+        '{"adjacency": 3}',
+        '{"adjacency": [1]}',
+        '{"adjacency": [[0]]}',
+        '{"adjacency": [[0, 5]]}',
+        '{"adjacency": [[0, [0]]]}',
+        '{"adjacency": [[0, [1]]]}',
+    ):
+        with pytest.raises(PreconditionError):
+            from_json_graph(text)
 
 
 def test_format_dispatch():

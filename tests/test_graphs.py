@@ -1,18 +1,18 @@
 import math
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 from tperfect.errors import UnknownVertexError
 from tperfect.graphs import (
     Graph,
-    ball_chromatic_check,
     bfs_levelling,
     covers,
-    is_clique,
     is_cycle_induced,
     is_path_induced,
     is_stable,
-    induced_paths_between,
     label_key,
     odd_girth,
     shortest_odd_cycle,
@@ -33,7 +33,6 @@ def test_basic_accessors():
     assert g.neighbours("b") == frozenset("ac")
     assert g.degree("a") == 1
     assert g.has_edge("a", "b") and not g.has_edge("a", "c")
-    assert g.closed_neighbourhood("a") == frozenset("ab")
     with pytest.raises(UnknownVertexError):
         g.neighbours("z")
 
@@ -45,6 +44,34 @@ def test_odd_girth_values():
     cyc = shortest_odd_cycle(cycle(5))
     assert len(cyc) == 5 and is_cycle_induced(cycle(5), cyc)
     assert shortest_odd_cycle(cycle(6)) is None
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 9 vertices, often disconnected; a drawn flag keeps
+    only edges between even and odd vertices, which makes them bipartite."""
+    n = draw(st.integers(0, 9))
+    bipartite = draw(st.booleans())
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if not bipartite or (u - v) % 2]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(range(n), edges)
+
+
+@given(small_graphs())
+def test_shortest_odd_cycle_matches_brute_force(g):
+    lengths = [len(c) for c in nx.simple_cycles(g.to_networkx()) if len(c) % 2]
+    shortest = min(lengths, default=math.inf)
+    cyc = shortest_odd_cycle(g)
+    assert odd_girth(g) == shortest
+    if cyc is None:
+        assert shortest is math.inf
+    else:
+        assert len(cyc) == shortest and is_cycle_induced(g, cyc)
+    # "v0" < ... < "v8" in the order of 0 < ... < 8, so relabelling and
+    # listing the edges backwards must not change the cycle
+    name = {v: f"v{v}" for v in g.vertices}
+    h = Graph([name[v] for v in reversed(g.vertices)], [(name[v], name[u]) for u, v in reversed(g.edges())])
+    assert shortest_odd_cycle(h) == (None if cyc is None else [name[v] for v in cyc])
 
 
 def test_bfs_levelling():
@@ -69,8 +96,7 @@ def test_stable_clique_covers():
     c5 = cycle(5)
     assert is_stable(c5, {0, 2})
     assert not is_stable(c5, {0, 1})
-    assert is_clique(complete(4), {0, 1, 2})
-    assert is_stable(c5, set()) and is_clique(c5, set())
+    assert is_stable(c5, set())
     star = Graph(range(4), [(0, i) for i in range(1, 4)])
     assert covers(star, {0}, {1, 2, 3})
     assert not covers(star, {0, 1}, {1, 2})  # overlap
@@ -78,18 +104,13 @@ def test_stable_clique_covers():
     assert covers(c4, {0, 2}, {1, 3})
 
 
-def test_ball_chromatic_check():
-    assert ball_chromatic_check(cycle(11), 0, 4)
-    assert not ball_chromatic_check(complete(4), 0, 1)
-    assert ball_chromatic_check(cycle(6), 0, 3)
-
-
 def test_ball_check_follows_odd_girth():
+    assert complete(4).induced_subgraph(complete(4).ball(0, 1)).bipartition() is None
     for n in (5, 7, 9, 11, 13):
         g = cycle(n)
         for r in range(1, (n - 1) // 2):
             if odd_girth(g) > 2 * r + 1:
-                assert ball_chromatic_check(g, 0, r)
+                assert g.induced_subgraph(g.ball(0, r)).bipartition() is not None
 
 
 def test_derived_graphs():
@@ -107,8 +128,6 @@ def test_derived_graphs():
 
 def test_induced_paths_and_cycles():
     g = cycle(6)
-    paths = induced_paths_between(g, 0, 3, 6)
-    assert sorted(len(p) for p in paths) == [4, 4]
     assert is_path_induced(g, [0, 1, 2, 3])
     assert not is_path_induced(g, [0, 1, 3])
     assert is_cycle_induced(g, list(range(6)))

@@ -18,7 +18,6 @@ from tperfect.polytopes import (
     maximal_cliques,
     qstab,
     relaxation_vertices,
-    ssp_vertices,
     tstab,
     verify_witness,
     vertex_order,
@@ -46,8 +45,8 @@ def test_tstab_row_counts():
 
 
 def test_ssp_c5():
-    v = ssp_vertices(cycle(5))
-    assert len(v.vertices) == 11  # empty, 5 singletons, 5 stable pairs
+    points = {incidence_vector(vertex_order(cycle(5)), s) for s in all_stable_sets(cycle(5))}
+    assert len(points) == 11  # empty, 5 singletons, 5 stable pairs
 
 
 def test_tstab_k4_fractional_vertex():
@@ -83,7 +82,7 @@ def test_hbar_perfection_oracle():
 def test_containment_chain():
     for g in (cycle(5), cycle(7), complete(4), wheel(5)):
         ts, hs, qs = tstab(g), hstab(g), qstab(g)
-        for vert in ssp_vertices(g).vertices:
+        for vert in (incidence_vector(vertex_order(g), s) for s in all_stable_sets(g)):
             assert ts.contains(vert) and hs.contains(vert) and qs.contains(vert)
         for vert in relaxation_vertices(g, hs).vertices:
             assert ts.contains(vert)
