@@ -14,10 +14,11 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import corpus, graphio
 from .errors import PreconditionError, TPerfectError, VerificationError
-from .graphs import Graph, odd_girth
+from .graphs import Graph, label_key, odd_girth
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -51,6 +52,31 @@ def _load_json_file(path: str):
         raise TPerfectError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise TPerfectError(f"malformed JSON in {path}: {e.msg}") from e
+
+
+def _jsonable(value):
+    """A VerificationError detail as JSON data: sets become lists sorted by
+    label_key, tuples lists, Fractions "p/q", anything else its repr."""
+    if isinstance(value, dict):
+        return {k if isinstance(k, str) else repr(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return [_jsonable(v) for v in sorted(value, key=label_key)]
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if value is None or isinstance(value, (str, int)):
+        return value
+    return repr(value)
+
+
+def _report(message: str, e: TPerfectError) -> None:
+    """Print an error line on stderr, then the error's detail, if any, as a
+    ``detail: <json>`` line."""
+    print(message, file=sys.stderr)
+    detail = getattr(e, "detail", None)
+    if detail is not None:
+        print(f"detail: {json.dumps(_jsonable(detail), sort_keys=True)}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +145,6 @@ def cmd_hbarperfect(args) -> int:
 
 def cmd_reduce(args) -> int:
     from .colouring import reduce_odd_girth
-    from .graphs import label_key
 
     g = load_graph(args.graph, args.format)
     s = reduce_odd_girth(g, args.ell)
@@ -171,8 +196,6 @@ def cmd_tcontract(args) -> int:
     v = graphio.parse_label(args.vertex)
     h, classes = t_contract(g, v)
     if args.json:
-        from .graphs import label_key
-
         print(
             json.dumps(
                 {
@@ -214,7 +237,7 @@ def cmd_rope_verify(args) -> int:
     try:
         verify_rope(g, rope)
     except VerificationError as e:
-        print(f"rope rejected: {e}", file=sys.stderr)
+        _report(f"rope rejected: {e}", e)
         return EXIT_FAILS
     print("rope verified")
     return EXIT_HOLDS
@@ -243,7 +266,7 @@ def cmd_rope_find(args) -> int:
     try:
         rope = find_rope(g, frozenset(g.vertices), args.r, c=args.c, strict=args.strict)
     except VerificationError as e:
-        print(f"no rope found: {e}", file=sys.stderr)
+        _report(f"no rope found: {e}", e)
         return EXIT_FAILS
     print(rope.to_json())
     return EXIT_HOLDS
@@ -271,7 +294,7 @@ def cmd_verify(args) -> int:
     try:
         ok = _verify_dispatch(g, data)
     except VerificationError as e:
-        print(f"certificate rejected: {e}", file=sys.stderr)
+        _report(f"certificate rejected: {e}", e)
         return EXIT_FAILS
     print("certificate verified" if ok else "certificate rejected")
     return EXIT_HOLDS if ok else EXIT_FAILS
@@ -456,7 +479,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TPerfectError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _report(f"error: {e}", e)
         return EXIT_ERROR
 
 

@@ -114,12 +114,11 @@ def _greedy_dsatur(g: Graph):
     """DSATUR greedy colouring; returns (k, assignment)."""
     assignment = {}
     saturation = {v: set() for v in g.vertices}
+    # g.vertices is in label_key order, so its index breaks ties the same way
+    tie = {v: (-g.degree(v), i) for i, v in enumerate(g.vertices)}
     uncoloured = set(g.vertices)
     while uncoloured:
-        v = min(
-            uncoloured,
-            key=lambda u: (-len(saturation[u]), -g.degree(u), label_key(u)),
-        )
+        v = min(uncoloured, key=lambda u: (-len(saturation[u]), tie[u]))
         c = 0
         while c in saturation[v]:
             c += 1
@@ -216,9 +215,9 @@ def chi_fractional(g: Graph):
     if not order:
         return Fraction(0), FractionalColouring(())
     stables = maximal_stable_sets(g)
-    a_rows = [[Fraction(1) if v in s else Fraction(0) for v in order] for s in stables]
-    b = [Fraction(1)] * len(stables)
-    c = [Fraction(1)] * len(order)
+    a_rows = [[1 if v in s else 0 for v in order] for s in stables]
+    b = [1] * len(stables)
+    c = [1] * len(order)
     value, _, prices = solve_lp(a_rows, b, c)
     weights = tuple(
         (s, w) for s, w in zip(stables, prices) if w > 0

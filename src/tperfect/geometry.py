@@ -3,15 +3,16 @@ by the double description method, an exact simplex solver, hull membership
 and matrix rank.
 
 All arithmetic is exact.  Internally points are stored in homogeneous integer
-coordinates (den, x_1*den, ..., x_d*den); the public API speaks
-``fractions.Fraction``.
+coordinates (den, x_1*den, ..., x_d*den), and the simplex pivots on an integer
+tableau over one common denominator (fraction-free pivoting, Edmonds 1967 /
+Bareiss 1968); the public API speaks ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -86,15 +87,9 @@ class VRep:
 # ---------------------------------------------------------------------------
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _row_to_int(ineq: Inequality):
     """(b - a.x >= 0) as an integer vector (b, -a1, ..., -ad)."""
-    den = 1
-    for c in list(ineq.coeffs) + [ineq.rhs]:
-        den = _lcm(den, Fraction(c).denominator)
+    den = lcm(*(Fraction(c).denominator for c in ineq.coeffs), Fraction(ineq.rhs).denominator)
     row = [int(Fraction(ineq.rhs) * den)] + [-int(Fraction(c) * den) for c in ineq.coeffs]
     g = 0
     for v in row:
@@ -214,6 +209,9 @@ def enumerate_vertices(p: HPolytope) -> VRep:
 # ---------------------------------------------------------------------------
 
 
+_RHS = -1  # key of the right-hand side in a sparse simplex row
+
+
 def solve_lp(a_rows, b, c):
     """max c.x subject to a_rows . x <= b, x >= 0, everything Fraction-exact.
 
@@ -221,95 +219,134 @@ def solve_lp(a_rows, b, c):
     rule (lowest index), two phases.  Raises InfeasibleError on an empty
     feasible region and UnboundedPolytopeError when the objective is
     unbounded above.
+
+    The pivots are fraction-free (Edmonds 1967, Bareiss 1968): A and b are
+    scaled by one common positive integer, c by its own, and the tableau
+    holds integers over one shared denominator d, the last pivot.  Positive
+    scaling changes neither the signs of reduced costs nor the order of
+    ratios, so the pivots are those of the same simplex run on Fractions.
     """
     m_orig = len(a_rows)
     n = len(c)
     a_rows = [[Fraction(v) for v in row] for row in a_rows]
     b = [Fraction(v) for v in b]
     c = [Fraction(v) for v in c]
+    da = lcm(*(v.denominator for row in a_rows for v in row), *(v.denominator for v in b))
+    dc = lcm(*(v.denominator for v in c))
 
-    # tableau columns: n structural + m slack (+ possibly 1 auxiliary);
-    # one extra column for the right-hand side
+    # tableau columns: n structural + m slack (+ possibly 1 auxiliary); rows
+    # are sparse, {column: nonzero entry}, the right-hand side under _RHS
     aux = any(bi < 0 for bi in b)
     aux_col = n + m_orig
-    ncols = n + m_orig + (1 if aux else 0)
     rows = []
     for i in range(m_orig):
-        row = a_rows[i] + [Fraction(0)] * (ncols - n) + [b[i]]
-        row[n + i] = Fraction(1)
+        row = {j: v.numerator * (da // v.denominator) for j, v in enumerate(a_rows[i]) if v}
+        row[n + i] = 1
         if aux:
-            row[aux_col] = Fraction(-1)
+            row[aux_col] = -1
+        if b[i]:
+            row[_RHS] = b[i].numerator * (da // b[i].denominator)
         rows.append(row)
     basis = [n + i for i in range(m_orig)]
+    # the actual tableau is rows / d (and a z-row / d); d > 0, and every
+    # basic column holds d in its own row
+    d = 1
 
-    def pivot(r, col):
-        piv = rows[r][col]
-        rows[r] = [v / piv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+    def pivot(r, col, z=None):
+        """T[i][j] <- (p*T[i][j] - T[i][col]*T[r][j]) / d for i != r and for
+        the z-row, exact by Sylvester's identity; then d <- p, with every
+        sign flipped when p < 0 so that d stays positive.  Returns the new
+        z-row."""
+        nonlocal d
+        prow = rows[r]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = _bareiss_row(row, prow, col, p, d)
+        if z is not None:
+            z = _bareiss_row(z, prow, col, p, d)
+        if p < 0:
+            rows[:] = [_negated(row) for row in rows]
+            if z is not None:
+                z = _negated(z)
+            p = -p
+        d = p
         basis[r] = col
+        return z
 
     def run_simplex(obj):
-        """Maximize obj (coefficients per column); returns the final z-row,
-        whose entries are the reduced costs and whose last entry is the
-        negated objective value."""
-        z = list(obj) + [Fraction(0)]
+        """Maximize obj (integer coefficients per column); returns the final
+        z-row over d, whose entries are the reduced costs and whose _RHS
+        entry is the negated objective value."""
+        z = {j: d * v for j, v in enumerate(obj) if v}
         for i, bv in enumerate(basis):
-            if z[bv] != 0:
-                f = z[bv]
-                for jcol in range(len(z)):
-                    z[jcol] -= f * rows[i][jcol]
+            f = obj[bv]
+            if f:
+                for j, v in rows[i].items():
+                    z[j] = z.get(j, 0) - f * v
         while True:
-            enter = next((j for j in range(ncols) if z[j] > 0), -1)
+            enter = min((j for j, v in z.items() if v > 0 and j != _RHS), default=-1)
             if enter < 0:
                 return z
-            leave, best = -1, None
-            for i in range(len(rows)):
-                if rows[i][enter] > 0:
-                    ratio = rows[i][ncols] / rows[i][enter]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
+            leave = -1
+            for i, row in enumerate(rows):
+                if row.get(enter, 0) > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # rhs/row[enter] against the best ratio so far
+                    lhs = row.get(_RHS, 0) * rows[leave][enter]
+                    rhs = rows[leave].get(_RHS, 0) * row[enter]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
             if leave < 0:
                 raise UnboundedPolytopeError("linear program is unbounded")
-            pivot(leave, enter)
-            f = z[enter]
-            for jcol in range(ncols + 1):
-                z[jcol] -= f * rows[leave][jcol]
+            z = pivot(leave, enter, z)
 
     if aux:
         # make the auxiliary variable basic in the most negative row, which
         # yields a feasible dictionary, then minimize it
-        r0 = min(range(m_orig), key=lambda i: (rows[i][ncols], i))
+        r0 = min(range(m_orig), key=lambda i: (rows[i].get(_RHS, 0), i))
         pivot(r0, aux_col)
-        obj1 = [Fraction(0)] * ncols
-        obj1[aux_col] = Fraction(-1)
-        z1 = run_simplex(obj1)
-        if -z1[-1] < 0:
+        z1 = run_simplex([0] * aux_col + [-1])
+        if z1.get(_RHS, 0) > 0:
             raise InfeasibleError("linear program infeasible")
         if aux_col in basis:
+            # the slack columns hold d times the inverse basis, which has no
+            # zero row, so this row has a nonzero entry left of aux_col
             r = basis.index(aux_col)
-            col = next((j for j in range(aux_col) if rows[r][j] != 0), -1)
-            if col >= 0:
-                pivot(r, col)
-            else:
-                rows.pop(r)
-                basis.pop(r)
+            pivot(r, min(j for j in rows[r] if 0 <= j < aux_col))
         # strip the auxiliary column so phase 2 cannot re-enter it
-        for i in range(len(rows)):
-            rows[i] = rows[i][:aux_col] + rows[i][ncols:]
-        ncols = aux_col
+        for row in rows:
+            row.pop(aux_col, None)
 
-    obj2 = c + [Fraction(0)] * (ncols - n)
-    z2 = run_simplex(obj2)
-    value = -z2[-1]
+    z2 = run_simplex([v.numerator * (dc // v.denominator) for v in c] + [0] * m_orig)
+    value = Fraction(-z2.get(_RHS, 0), d * dc)
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = rows[i][ncols]
-    y = tuple(-z2[n + i] for i in range(m_orig))
+            x[bv] = Fraction(rows[i].get(_RHS, 0), d)
+    y = tuple(Fraction(-z2.get(n + i, 0) * da, d * dc) for i in range(m_orig))
     return value, tuple(x), y
+
+
+def _bareiss_row(row, prow, col, p, d):
+    """One sparse row of a fraction-free pivot on prow[col] = p over the
+    denominator d.  Entries outside the pivot row's support only scale by
+    p/d, and exactly so."""
+    f = row.get(col)
+    if not f:
+        return row if p == d else {j: v * p // d for j, v in row.items()}
+    new = {j: v * p // d for j, v in row.items() if j not in prow}
+    for j, w in prow.items():
+        v = (row.get(j, 0) * p - f * w) // d
+        if v:
+            new[j] = v
+    return new
+
+
+def _negated(row):
+    return {j: -v for j, v in row.items()}
 
 
 def point_in_hull(points: Sequence[QVec], x: QVec) -> bool:

@@ -23,6 +23,8 @@ Vertex = Hashable
 # Default cap for combinatorial operations (colouring, searches).
 COMBINATORIAL_CAP = 512
 
+_UNKNOWN = object()
+
 
 def label_key(v):
     """Total order over mixed-type vertex labels (ints, strings, tuples)."""
@@ -44,7 +46,7 @@ class Graph:
     Mutation-style operations return new graphs.
     """
 
-    __slots__ = ("_adj", "_vertices", "_edges")
+    __slots__ = ("_adj", "_vertices", "_edges", "_odd_cycle")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
         vs = list(vertices)
@@ -67,6 +69,9 @@ class Graph:
                 key=lambda e: (key[e[0]], key[e[1]]),
             )
         )
+        # filled by the first shortest_odd_cycle call: a tuple, or None
+        # when bipartite; the graph is immutable, so it never goes stale
+        self._odd_cycle = _UNKNOWN
 
     # -- basic accessors ---------------------------------------------------
 
@@ -238,8 +243,15 @@ def shortest_odd_cycle(g: Graph):
     appears by depth (|C|-1)/2: the best cycle over all roots is a shortest
     one.  A root is left as soon as 2d+1 reaches the best length found.
     Neighbours are scanned in vertex order, so the cycle does not depend on
-    the hash seed.
+    the hash seed.  The search runs once per graph; each call returns a
+    fresh list.
     """
+    if g._odd_cycle is _UNKNOWN:
+        g._odd_cycle = _search_odd_cycle(g)
+    return None if g._odd_cycle is None else list(g._odd_cycle)
+
+
+def _search_odd_cycle(g: Graph):
     rank = {v: i for i, v in enumerate(g.vertices)}
     adj = [sorted(rank[w] for w in g.neighbours(v)) for v in g.vertices]
     best = None
@@ -265,7 +277,7 @@ def shortest_odd_cycle(g: Graph):
                     best = left[::-1] + right[:-1]
                     queue.clear()
                     break
-    return None if best is None else [g.vertices[i] for i in best]
+    return None if best is None else tuple(g.vertices[i] for i in best)
 
 
 def odd_girth(g: Graph):

@@ -66,6 +66,16 @@ def test_certify_and_verify_loop(capsys, tmp_path):
     assert run(capsys, "verify", "corpus:K4", str(cert))[0] == 0
 
 
+def test_rejected_certificate_prints_its_detail(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"num_colours": 1, "assignment": {"0": 0, "1": 0, "2": 0}}))
+    code, out, err = run(capsys, "verify", "corpus:C3", str(cert))
+    assert code == 1 and out == ""
+    message, detail = err.splitlines()
+    assert message == "certificate rejected: monochromatic edge"
+    assert json.loads(detail.removeprefix("detail: ")) == {"colour": 0, "edge": [0, 1]}
+
+
 def test_certify_batch(capsys, tmp_path):
     batch = tmp_path / "batch.txt"
     batch.write_text("corpus:C5\ncorpus:K4\n")

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tperfect.errors import InfeasibleError, UnboundedPolytopeError
 from tperfect.geometry import (
@@ -75,6 +76,45 @@ def test_lp_infeasible_and_unbounded():
         solve_lp([[F(1)], [F(-1)]], [F(-2), F(-3)], [F(1)])
     with pytest.raises(UnboundedPolytopeError):
         solve_lp([[F(-1)]], [F(0)], [F(1)])
+
+
+@st.composite
+def planted_lps(draw):
+    """(A, b, c) with Fraction entries, feasible at a drawn x0 >= 0: b is A.x0
+    plus a slack, so it goes negative with A and phase 1 runs.  A last row
+    sum(x) <= K keeps the optimum finite."""
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    nonneg = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    x0 = draw(st.lists(nonneg, min_size=n, max_size=n))
+    b = [sum(ai * xi for ai, xi in zip(row, x0)) + draw(nonneg) for row in a]
+    a.append([F(1)] * n)
+    b.append(sum(x0) + draw(nonneg))
+    return a, b, draw(st.lists(entries, min_size=n, max_size=n))
+
+
+def _dot(u, v):
+    return sum(ui * vi for ui, vi in zip(u, v))
+
+
+@given(planted_lps())
+def test_lp_optimum_has_exact_certificate(lp):
+    a, b, c = lp
+    value, x, y = solve_lp(a, b, c)
+    assert all(type(v) is Fraction for v in (value, *x, *y))
+    assert len(x) == len(c) and len(y) == len(b)
+    # primal feasible, dual feasible, equal objectives
+    assert all(_dot(row, x) <= bi for row, bi in zip(a, b)) and min(x) >= 0
+    assert min(y) >= 0 and all(_dot(col, y) >= cj for col, cj in zip(zip(*a), c))
+    assert _dot(c, x) == _dot(b, y) == value
+    # a row and its negation with a gap between their right-hand sides
+    with pytest.raises(InfeasibleError):
+        solve_lp(a + [[-v for v in a[0]]], b + [-b[0] - 1], c)
+    # a new column that raises the objective and loosens every row
+    with pytest.raises(UnboundedPolytopeError):
+        solve_lp([row + [-abs(row[0])] for row in a], b, c + [F(1, 2)])
 
 
 def test_point_in_hull():

@@ -67,6 +67,14 @@ def test_shortest_odd_cycle_matches_brute_force(g):
         assert shortest is math.inf
     else:
         assert len(cyc) == shortest and is_cycle_induced(g, cyc)
+    # the search runs once per graph; a later call gives an equal list that
+    # the caller may change without changing the next answer
+    again = shortest_odd_cycle(g)
+    assert again == cyc
+    if again is not None:
+        again.reverse()
+        again.append(None)
+    assert shortest_odd_cycle(g) == cyc
     # "v0" < ... < "v8" in the order of 0 < ... < 8, so relabelling and
     # listing the edges backwards must not change the cycle
     name = {v: f"v{v}" for v in g.vertices}
