@@ -16,8 +16,6 @@ from .geometry import solve_lp
 from .graphs import COMBINATORIAL_CAP, Graph, is_stable, label_key, odd_girth, shortest_odd_cycle
 from .polytopes import (
     POLYTOPE_DIM_CAP,
-    ImperfectionWitness,
-    complement_graph,
     is_t_perfect,
     maximal_stable_sets,
     vertex_order,
@@ -335,20 +333,20 @@ class Certificate:
     witness: object = None  # ImperfectionWitness or TMinorTrace
 
     def to_json(self) -> str:
-        if self.kind == "colouring":
-            return json.dumps(
-                {"kind": "colouring", "certificate": json.loads(self.colouring.to_json())},
-                indent=2,
-                sort_keys=True,
-            )
+        body = self.colouring if self.kind == "colouring" else self.witness
         return json.dumps(
-            {"kind": "witness", "certificate": json.loads(self.witness.to_json())},
+            {"kind": self.kind, "certificate": json.loads(body.to_json())},
             indent=2,
             sort_keys=True,
         )
 
 
-def certify(g: Graph, rounds: int = 4) -> Certificate:
+# Rounds of odd-girth raising before the exact colouring of the remainder:
+# the paper's four, which take odd girth 3 up to 11.
+ODD_GIRTH_ROUNDS = 4
+
+
+def certify(g: Graph) -> Certificate:
     """Colour g by rounds of odd-girth raising plus exact colouring of the
     remainder, or return a verified refutation of t-perfection.
 
@@ -369,7 +367,7 @@ def certify(g: Graph, rounds: int = 4) -> Certificate:
             return Certificate(kind="witness", witness=w)
     remainder = g
     classes = []
-    for ell in range(1, rounds + 1):
+    for ell in range(1, ODD_GIRTH_ROUNDS + 1):
         if remainder.n == 0 or remainder.bipartition() is not None:
             break
         try:
@@ -396,15 +394,15 @@ def certify(g: Graph, rounds: int = 4) -> Certificate:
 
 
 def _refute(g: Graph, failure: VerificationError):
-    """Turn a failed reduction into an independently checkable witness."""
+    """Turn a failed reduction into an independently checkable witness.
+
+    Within the polytope cap ``certify`` only gets here after the oracle has
+    accepted g, so a failed reduction there is an internal contradiction."""
     if g.n <= POLYTOPE_DIM_CAP:
-        ok, w = is_t_perfect(g)
-        if ok:
-            raise VerificationError(
-                "reduction failed on a graph the polytope oracle accepts",
-                detail={"reduction_failure": failure.detail},
-            )
-        return w
+        raise VerificationError(
+            "reduction failed on a graph the polytope oracle accepts",
+            detail={"reduction_failure": failure.detail},
+        )
     from .tminors import find_odd_wheel_tminor
 
     trace = find_odd_wheel_tminor(g)

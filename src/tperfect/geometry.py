@@ -77,10 +77,6 @@ class VRep:
     def from_points(points: Iterable[QVec]) -> "VRep":
         return VRep(tuple(sorted(set(tuple(p) for p in points))))
 
-    @property
-    def dim(self) -> int:
-        return len(self.vertices[0]) if self.vertices else 0
-
 
 # ---------------------------------------------------------------------------
 # homogeneous integer helpers

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Iterable
 
 import networkx as nx
@@ -214,12 +213,21 @@ def bfs_levelling(g: Graph, root) -> Levelling:
     return Levelling(root=root, levels=levels)
 
 
+def _induced_edge_count(g: Graph, vs: Iterable[Vertex]) -> int:
+    """Number of edges of g with both ends in vs, in time linear in their
+    degrees: each edge is counted once, at whichever end comes later in vs.
+    Repeats in vs are ignored; a vertex not in g raises UnknownVertexError."""
+    seen = set()
+    count = 0
+    for v in vs:
+        if v not in seen:
+            count += len(g.neighbours(v) & seen)
+            seen.add(v)
+    return count
+
+
 def is_stable(g: Graph, s: Iterable[Vertex]) -> bool:
-    s = list(s)
-    for v in s:
-        if v not in g:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-    return all(not g.has_edge(u, v) for u, v in combinations(s, 2))
+    return _induced_edge_count(g, s) == 0
 
 
 def covers(g: Graph, b: Iterable[Vertex], c: Iterable[Vertex]) -> bool:
@@ -287,26 +295,27 @@ def odd_girth(g: Graph):
 
 
 def is_path_induced(g: Graph, path) -> bool:
-    """Check that the vertex list is an induced path of g."""
-    if len(set(path)) != len(path):
-        return False
-    for i, x in enumerate(path):
-        for j in range(i + 1, len(path)):
-            adjacent = g.has_edge(x, path[j])
-            if adjacent != (j == i + 1):
-                return False
-    return True
+    """Check that the vertex list is an induced path of g: its vertices are
+    distinct, consecutive ones are adjacent, and no other pair is."""
+    path = list(path)
+    count = _induced_edge_count(g, path)
+    return (
+        len(set(path)) == len(path)
+        and all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+        and count == max(len(path) - 1, 0)
+    )
 
 
 def is_cycle_induced(g: Graph, cycle) -> bool:
-    """Check that the vertex list is a chordless cycle of g (in cyclic order)."""
+    """Check that the vertex list is a chordless cycle of g (in cyclic order):
+    at least three distinct vertices, consecutive ones and the closing pair
+    adjacent, and no other pair."""
+    cycle = list(cycle)
     k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        return False
-    for i, x in enumerate(cycle):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(x, cycle[j])
-            expected = (j == i + 1) or (i == 0 and j == k - 1)
-            if adjacent != expected:
-                return False
-    return True
+    count = _induced_edge_count(g, cycle)
+    return (
+        k >= 3
+        and len(set(cycle)) == k
+        and all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        and count == k
+    )

@@ -169,9 +169,6 @@ class ImperfectionWitness:
     point: tuple  # QVec of Fractions
     tight_tags: tuple  # (tag, source) of each inequality tight at the point
 
-    def coordinates(self) -> dict:
-        return dict(zip(self.order, self.point))
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -316,11 +316,6 @@ def generate_rope_shell(r: int, odd_len: int, even_len: int, depth: int = 6):
 # ---------------------------------------------------------------------------
 
 
-def _component_sets(g: Graph, subset):
-    sub = g.induced_subgraph(subset)
-    return sub.connected_components()
-
-
 def _require_chi(g: Graph, subset, need, name: str, threshold: str) -> None:
     """Strict-mode gate: raise PreconditionError unless chi(g[subset]) >= need.
     chi <= |subset|, so a small subset settles the comparison for free."""
@@ -342,20 +337,15 @@ def _richest_level(g: Graph, levels):
 
 
 def _max_chi_component(g: Graph, subset):
-    """Connected component of g[subset] with maximum chromatic number;
-    deterministic tie-break.  Returns (component, chi)."""
+    """Connected component of g[subset] with maximum chromatic number; a tie
+    goes to the component with the smallest least vertex.  Returns
+    (component, chi)."""
     best = None
-    for comp in sorted(
-        _component_sets(g, subset), key=lambda c: tuple(sorted((label_key(v) for v in c)))
-    ):
+    for comp in g.induced_subgraph(subset).connected_components():
         k, _ = chi_exact(g.induced_subgraph(comp))
         if best is None or k > best[1]:
             best = (comp, k)
     return best if best is not None else (frozenset(), 0)
-
-
-def _sorted_pair(u, v):
-    return tuple(sorted((u, v), key=label_key))
 
 
 def earlier_witness(g: Graph, grading: StableGrading, c: int):
@@ -389,9 +379,9 @@ def earlier_witness(g: Graph, grading: StableGrading, c: int):
     i_min = min(idx[v] for v in comp)
     w = min((v for v in comp if idx[v] == i_min), key=label_key)
     witness_edge = None
-    for u, v in sorted(edges, key=lambda e: (label_key(e[0]), label_key(e[1]))):
+    for u, v in edges:
         if idx[u] < i_min and idx[v] < i_min and (g.has_edge(w, u) or g.has_edge(w, v)):
-            witness_edge = _sorted_pair(u, v)
+            witness_edge = (u, v)
             break
     if witness_edge is None:
         raise VerificationError("left-active certificate edge disappeared")
@@ -462,16 +452,7 @@ def earlier_witness_tf(g: Graph, grading: StableGrading, c: int):
 
 
 def _audit_earlier_tf(g, grading, c, x, u, v):
-    idx = grading.index()
-    if not g.has_edge(u, v):
-        raise VerificationError("u and v are not adjacent")
-    if not g.induced_subgraph(x).is_connected():
-        raise VerificationError("witness set not connected")
-    k, _ = chi_exact(g.induced_subgraph(x))
-    if k < c:
-        raise VerificationError("witness set chromatic number too small")
-    if any(idx[u] >= idx[w] or idx[v] >= idx[w] for w in x):
-        raise VerificationError("u or v not earlier than the witness set")
+    _audit_earlier(g, grading, c, x, (u, v))
     if g.neighbours(u) & x:
         raise VerificationError("u has a neighbour in the witness set")
     if not (g.neighbours(v) & x):
@@ -570,16 +551,15 @@ def rope_induction_step(
     c_set,
     q,
     c: int,
-    threshold: Optional[int] = None,
     strict: bool = True,
 ) -> InductionResult:
     """One induction step: from a covered, connected, chromatically rich C
     produce a smaller covered C' at distance >= 5 behind an odd/even pair of
     induced paths from q to a new connector q'.
 
-    Strict mode enforces chi(C) >= 6c + 17 (or the given threshold); relaxed
-    mode proceeds best-effort and reports which proof branch collapsed.  All
-    eight output clauses are machine-verified before returning.
+    Strict mode enforces chi(C) >= 6c + 17; relaxed mode proceeds best-effort
+    and reports which proof branch collapsed.  All eight output clauses are
+    machine-verified before returning.
     """
     b_set, c_set = frozenset(b_set), frozenset(c_set)
     if odd_girth(g) < 11:
@@ -593,8 +573,7 @@ def rope_induction_step(
     if not g.induced_subgraph(c_set | {q}).is_connected():
         raise PreconditionError("g[C + q] not connected")
     if strict:
-        need = induction_threshold(c) if threshold is None else threshold
-        _require_chi(g, c_set, need, "C", "threshold")
+        _require_chi(g, c_set, induction_threshold(c), "C", "threshold")
 
     # levelling of C + q from q
     levelling = bfs_levelling(g.induced_subgraph(c_set | {q}), q)
@@ -695,10 +674,8 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, h):
     order = sorted(m_set | {q}, key=lambda v: (dist_m.get(v, 10**9), label_key(v)))
     parts = []
     assigned = set()
-    b_nbrs_of_m = {}
     for m in order:
         bs = frozenset(v for v in b_h if g.has_edge(v, m))
-        b_nbrs_of_m[m] = bs
         w = frozenset(
             v
             for v in c_h - assigned
@@ -891,9 +868,7 @@ def _rope_from_chains(g: Graph, x_set) -> Optional[ArithmeticRope]:
                 seen_edges.add((path[-1], nxt[0]))
                 seen_edges.add((nxt[0], path[-1]))
                 path.append(nxt[0])
-            if path[-1] in branch_set and len(path) > 2:
-                chains.append(path)
-            elif path[-1] in branch_set and path[-1] != a:
+            if path[-1] in branch_set:
                 chains.append(path)
     by_ends = {}
     for chain in chains:

@@ -173,7 +173,7 @@ def is_odd_wheel(g: Graph):
     hubs = [v for v in g.vertices if g.degree(v) == n - 1]
     if not hubs:
         return None
-    hub = min(hubs, key=label_key)
+    hub = hubs[0]
     rim_vertices = [v for v in g.vertices if v != hub]
     rim_graph = g.induced_subgraph(rim_vertices)
     if any(rim_graph.degree(v) != 2 for v in rim_vertices) or not rim_graph.is_connected():
@@ -203,17 +203,25 @@ class OddWheelWitness:
 
 
 def verify_odd_wheel_witness(w: OddWheelWitness) -> bool:
+    """Replay the trace, then check three clauses on its result: the hub is
+    adjacent to every other vertex, hub and rim partition the vertices, and
+    the rim is an odd induced cycle in the recorded order.
+
+    These imply that the result is an odd wheel, so that is not tested
+    again: the rim is a chordless cycle of odd length k >= 3 on all vertices
+    but the hub, and the hub sees all of them.  A rim vertex of full degree
+    too would see all k - 1 other rim vertices, but a chordless cycle gives
+    it only two, so k = 3 and the result is K4, which is an odd wheel with
+    any vertex as hub.  Raises VerificationError naming the first violated
+    clause.
+    """
     replay(w.trace)
     result = w.trace.result
-    if is_odd_wheel(result) is None:
-        raise VerificationError("trace result is not an odd wheel")
     if w.hub not in result or result.degree(w.hub) != result.n - 1:
         raise VerificationError("recorded hub is not adjacent to the whole rim")
     if set(w.rim) | {w.hub} != set(result.vertices) or w.hub in w.rim:
         raise VerificationError("recorded rim does not cover the result")
-    if len(w.rim) % 2 == 0 or not is_cycle_induced(
-        result.induced_subgraph(w.rim), list(w.rim)
-    ):
+    if len(w.rim) % 2 == 0 or not is_cycle_induced(result, w.rim):
         raise VerificationError("recorded rim is not an induced odd cycle")
     return True
 
@@ -235,8 +243,7 @@ def _contract_to_wheel(builder: TraceBuilder, hub) -> OddWheelWitness:
     repeatedly contract the smallest rim vertex not adjacent to the hub."""
     while True:
         g = builder.graph
-        rim = [v for v in g.vertices if v != hub]
-        free = sorted((v for v in rim if not g.has_edge(v, hub)), key=label_key)
+        free = [v for v in g.vertices if v != hub and not g.has_edge(v, hub)]
         if not free:
             break
         builder.tcontract(free[0])
@@ -259,7 +266,7 @@ def extract_wheel_from_hub(g: Graph, cycle, v) -> OddWheelWitness:
     cycle = list(cycle)
     if set(cycle) | {v} != set(g.vertices) or v in cycle:
         raise PreconditionError("graph must consist of the cycle plus v alone")
-    if len(cycle) % 2 == 0 or not is_cycle_induced(g.induced_subgraph(cycle), cycle):
+    if len(cycle) % 2 == 0 or not is_cycle_induced(g, cycle):
         raise PreconditionError("cycle is not an induced odd cycle", )
     anchors = [u for u in cycle if g.has_edge(u, v)]
     if len(anchors) < 3:

@@ -114,6 +114,12 @@ def test_oddwheel_witness(capsys, tmp_path):
     cert = tmp_path / "w.json"
     cert.write_text(out)
     assert run(capsys, "verify", "corpus:W5", str(cert))[0] == 0
+    # the same trace on another graph is a failed check, not a usage error
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(json.loads(out)["trace"]))
+    assert run(capsys, "verify", "corpus:W5", str(trace))[0] == 0
+    code, _, err = run(capsys, "verify", "corpus:W7", str(trace))
+    assert code == 1 and "base graph does not match" in err
     code, out, _ = run(capsys, "oddwheel-witness", "corpus:C11")
     assert code == 1 and out.strip() == "none"
 

@@ -7,6 +7,7 @@ from tperfect.errors import PreconditionError, VerificationError
 from tperfect.colouring import (
     Certificate,
     Colouring,
+    FractionalColouring,
     certify,
     chi_exact,
     chi_fractional,
@@ -43,8 +44,30 @@ def test_chi_exact_witness_is_proper():
 def test_verify_colouring_rejects_improper():
     g = cycle(5)
     bad = Colouring({v: 0 for v in g.vertices}, 1)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="monochromatic"):
         verify_colouring(g, bad)
+    gap = Colouring({0: 0, 1: 1, 2: 0, 3: 1}, 2)
+    with pytest.raises(VerificationError, match="does not cover"):
+        verify_colouring(g, gap)
+    skipped = Colouring({0: 0, 1: 1, 2: 0, 3: 1, 4: 3}, 3)
+    with pytest.raises(VerificationError, match="not contiguous"):
+        verify_colouring(g, skipped)
+
+
+def test_verify_fractional_colouring_rejects_tampering():
+    g = cycle(5)
+    half = F(1, 2)
+    pairs = [frozenset({i, (i + 2) % 5}) for i in range(5)]
+    assert verify_fractional_colouring(g, FractionalColouring(tuple((s, half) for s in pairs)))
+    edge = FractionalColouring(((frozenset({0, 1}), F(1)),) + tuple((s, half) for s in pairs))
+    with pytest.raises(VerificationError, match="non-stable"):
+        verify_fractional_colouring(g, edge)
+    short = FractionalColouring(tuple((s, half) for s in pairs[:4]))
+    with pytest.raises(VerificationError, match="not fractionally covered"):
+        verify_fractional_colouring(g, short)
+    zero = FractionalColouring(((frozenset({0}), F(0)),) + tuple((s, half) for s in pairs))
+    with pytest.raises(VerificationError, match="non-positive weight"):
+        verify_fractional_colouring(g, zero)
 
 
 def test_chi_fractional_values():
@@ -119,6 +142,30 @@ def test_certify_witness_branch():
         assert cert.kind == "witness"
     k4 = certify(complete(4))
     assert k4.witness.point == tuple(F(1, 3) for _ in range(4))
+
+
+def test_failed_reduction_within_the_cap_asks_the_oracle_once(monkeypatch):
+    # within the polytope cap certify has already run the oracle, which
+    # accepted the graph; a failed reduction after that is an internal
+    # contradiction, reported without a second oracle run
+    import tperfect.colouring as colouring
+
+    calls = []
+    oracle = colouring.is_t_perfect
+
+    def counted(g):
+        calls.append(g)
+        return oracle(g)
+
+    def failing(g, ell):
+        raise VerificationError("reduction set too small", detail={"ell": ell})
+
+    monkeypatch.setattr(colouring, "is_t_perfect", counted)
+    monkeypatch.setattr(colouring, "reduce_odd_girth", failing)
+    with pytest.raises(VerificationError, match="oracle accepts") as failure:
+        certify(cycle(7))
+    assert len(calls) == 1
+    assert failure.value.detail == {"reduction_failure": {"ell": 1}}
 
 
 def test_certificate_json_kinds():

@@ -141,6 +141,54 @@ def test_induced_paths_and_cycles():
     assert is_cycle_induced(g, list(range(6)))
     chord = Graph(range(6), list(g.edges()) + [(0, 3)])
     assert not is_cycle_induced(chord, list(range(6)))
+    # a vertex outside g is an error wherever it stands, even in a list too
+    # short to hold an edge
+    for predicate in (is_stable, is_path_induced, is_cycle_induced):
+        for seq in ([9], [0, 9], [0, 1, 9], [9, 0, 0]):
+            with pytest.raises(UnknownVertexError):
+                predicate(g, seq)
+
+
+@st.composite
+def sequences_in_graphs(draw):
+    """A vertex sequence of length 0-10 on at most 9 vertices, repeats
+    allowed, in a graph that has the edges between consecutive entries, the
+    closing edge if a drawn flag says so, and a few drawn edges more, with
+    one of the first two kinds sometimes dropped.  So the sequence is often
+    an induced path or cycle, or one spoiled by a chord, a missing edge or a
+    repeat."""
+    n = draw(st.integers(1, 9))
+    unique = draw(st.booleans())
+    k = draw(st.integers(0, n if unique else 10))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=unique))
+    pairs = list(zip(seq, seq[1:]))
+    if seq and draw(st.booleans()):
+        pairs.append((seq[-1], seq[0]))
+    if pairs and draw(st.integers(0, 3)) == 0:
+        pairs.remove(draw(st.sampled_from(pairs)))
+    all_pairs = list(combinations(range(n), 2))
+    if all_pairs:
+        pairs += draw(st.lists(st.sampled_from(all_pairs), max_size=3))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    return Graph(range(n), edges), seq
+
+
+@given(sequences_in_graphs())
+def test_induced_predicates_match_pairwise_definitions(drawn):
+    g, full = drawn
+    for k in range(len(full) + 1):
+        seq = full[:k]
+        stable = all(not g.has_edge(u, v) for u, v in combinations(seq, 2))
+        path = len(set(seq)) == k and all(
+            g.has_edge(seq[i], seq[j]) == (j == i + 1) for i, j in combinations(range(k), 2)
+        )
+        cyc = k >= 3 and len(set(seq)) == k and all(
+            g.has_edge(seq[i], seq[j]) == (j == i + 1 or (i, j) == (0, k - 1))
+            for i, j in combinations(range(k), 2)
+        )
+        assert is_stable(g, seq) == stable
+        assert is_path_induced(g, seq) == path
+        assert is_cycle_induced(g, seq) == cyc
 
 
 def test_label_key_total_order():

@@ -65,6 +65,31 @@ def test_chord_mutation_rejected():
         verify_rope(bad, rope)
 
 
+def test_verify_rope_rejects_tampering():
+    g, rope = generate_rope(3, 7, 8)
+    # a chord between interior vertices of two pairs leaves each path
+    # induced; only the cycle of a choice vector shows it
+    chord = (rope.paths[0][0][3], rope.paths[1][0][3])
+    with pytest.raises(VerificationError, match="induced cycle clause"):
+        verify_rope(Graph(g.vertices, list(g.edges()) + [chord]), rope)
+    (odd, even), *rest = rope.paths
+    swapped = ArithmeticRope(anchors=rope.anchors, paths=((even, odd), *rest))
+    with pytest.raises(VerificationError, match="odd length"):
+        verify_rope(g, swapped)
+    # a short cut between two anchors through vertices off the rope
+    q1, q3 = rope.anchors[0], rope.anchors[2]
+    detour = [(q1, "z1"), ("z1", "z2"), ("z2", q3)]
+    with pytest.raises(VerificationError, match="anchor distance"):
+        verify_rope(Graph(list(g.vertices) + ["z1", "z2"], list(g.edges()) + detour), rope)
+    # with two anchors the second pair may retrace the first: every interior
+    # vertex is then shared by both pairs
+    g2, rope2 = generate_rope(2, 7, 8)
+    odd, even = rope2.paths[0]
+    retraced = ArithmeticRope(anchors=rope2.anchors, paths=((odd, even), (odd[::-1], even[::-1])))
+    with pytest.raises(VerificationError, match="internally disjoint"):
+        verify_rope(g2, retraced)
+
+
 def test_rope_json_roundtrip():
     _, rope = generate_rope(3, 7, 8)
     assert rope_from_json(rope.to_json()) == rope

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -80,6 +81,27 @@ def test_replay_rejects_tampered_result():
     )
     with pytest.raises(VerificationError):
         replay(bad)
+    builder = TraceBuilder(cycle(7))
+    builder.tcontract(3)
+    trace = builder.trace()
+    moved = dict(trace.contraction_map)
+    moved[0], moved[1] = moved[1], moved[0]
+    with pytest.raises(VerificationError, match="contraction map"):
+        replay(replace(trace, contraction_map=moved))
+
+
+def test_verify_odd_wheel_witness_rejects_tampering():
+    w = find_odd_wheel_tminor(wheel(5))
+    assert (w.hub, w.rim) == (5, (0, 1, 2, 3, 4))
+    with pytest.raises(VerificationError, match="hub"):
+        verify_odd_wheel_witness(replace(w, hub=0, rim=(5, 1, 2, 3, 4)))
+    with pytest.raises(VerificationError, match="cover"):
+        verify_odd_wheel_witness(replace(w, rim=(0, 1, 2, 3)))
+    with pytest.raises(VerificationError, match="induced odd cycle"):
+        verify_odd_wheel_witness(replace(w, rim=(0, 2, 1, 3, 4)))
+    even = OddWheelWitness(trace=TraceBuilder(wheel(4)).trace(), hub=4, rim=(0, 1, 2, 3))
+    with pytest.raises(VerificationError, match="induced odd cycle"):
+        verify_odd_wheel_witness(even)
 
 
 def test_extract_wheel_from_hub():
