@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from typing import Optional
 
 from collections import deque
@@ -23,9 +23,9 @@ from .errors import PreconditionError, VerificationError
 from .graphio import decode_label, encode_label
 from .graphs import (
     Graph,
+    _induced_edge_count,
     bfs_levelling,
     covers,
-    is_cycle_induced,
     is_path_induced,
     is_stable,
     label_key,
@@ -156,7 +156,12 @@ class BrokenRope(_RopeParts):
 
 
 def rope_from_json(text: str):
+    """Parse a rope's JSON form; a kind other than "rope" or "broken_rope",
+    or an empty constituent path, raises PreconditionError."""
     data = json.loads(text)
+    kind = {"rope": ArithmeticRope, "broken_rope": BrokenRope}.get(data["kind"])
+    if kind is None:
+        raise PreconditionError(f"unknown rope kind {data['kind']!r}")
     anchors = tuple(decode_label(q) for q in data["anchors"])
     paths = tuple(
         (
@@ -165,9 +170,9 @@ def rope_from_json(text: str):
         )
         for p1, p2 in data["paths"]
     )
-    if data["kind"] == "rope":
-        return ArithmeticRope(anchors=anchors, paths=paths)
-    return BrokenRope(anchors=anchors, paths=paths)
+    if not all(p1 and p2 for p1, p2 in paths):
+        raise PreconditionError("rope has an empty constituent path")
+    return kind(anchors=anchors, paths=paths)
 
 
 def _chain(rope, h) -> list:
@@ -185,7 +190,27 @@ def _chain(rope, h) -> list:
 
 def verify_rope(g: Graph, rope) -> bool:
     """Audit every defining clause of a rope or broken rope; raises
-    VerificationError naming the first violated clause."""
+    VerificationError naming the first violated clause.
+
+    The choice clause asks that for every choice vector h in {1, 2}^r the
+    chosen paths Q_{i,h_i} chain into an induced cycle (rope) or induced
+    path (broken rope).  It is checked once per two constituent paths P, P'
+    of different pairs, which pass when they meet exactly in the ends they
+    share and g[P + P'] has |P| + |P'| - 2 edges.  This is the same clause.
+    By the earlier clauses each constituent path is an induced path between
+    distinct anchors, so consecutive vertices of a chain are adjacent.  A
+    chain repeats a vertex exactly when two of its paths meet off their
+    shared ends.  Without repeats, an edge on its vertices either lies on
+    one of its paths or is a chord from P - P' to P' - P for two of them,
+    which raises that pair's count.  The count also fails two paths on the
+    same two adjacent anchors; each is then the edge itself, the only
+    induced path between adjacent vertices, and their chain of two vertices
+    is no cycle.  So a vector fails exactly when two of its paths fail, and
+    any two paths of different pairs are chosen together by some vector.
+    The lexicographically first failing vector, which the error reports, is
+    hence the least, over failing pairs, of the vector that is 1 except for
+    the pair's own two choices.
+    """
     closed = isinstance(rope, ArithmeticRope)
     anchors = rope.anchors
     n_pairs = len(rope.paths)
@@ -216,18 +241,21 @@ def verify_rope(g: Graph, rope) -> bool:
             raise VerificationError("first path of a pair must have odd length", detail={"pair": i + 1})
         if (len(p2) - 1) % 2 != 0:
             raise VerificationError("second path of a pair must have even length", detail={"pair": i + 1})
-    for h in product((1, 2), repeat=n_pairs):
+    failing = [
+        tuple(a if k == i else b if k == j else 1 for k in range(n_pairs))
+        for i, j in combinations(range(n_pairs), 2)
+        for a, p in enumerate(rope.paths[i], 1)
+        for b, p2 in enumerate(rope.paths[j], 1)
+        if set(p) & set(p2) != {p[0], p[-1]} & {p2[0], p2[-1]}
+        or _induced_edge_count(g, [*p, *p2]) != len(p) + len(p2) - 2
+    ]
+    if failing:
+        h = min(failing)
         seq = _chain(rope, h)
         if len(set(seq)) != len(seq):
-            raise VerificationError(
-                "chosen paths are not internally disjoint", detail={"choice": h}
-            )
-        ok = is_cycle_induced(g, seq) if closed else is_path_induced(g, seq)
-        if not ok:
-            raise VerificationError(
-                "induced cycle clause violated" if closed else "induced path clause violated",
-                detail={"choice": h, "sequence": seq},
-            )
+            raise VerificationError("chosen paths are not internally disjoint", detail={"choice": h})
+        clause = "induced cycle clause violated" if closed else "induced path clause violated"
+        raise VerificationError(clause, detail={"choice": h, "sequence": seq})
     for i, a in enumerate(anchors):
         dist = g.bfs_distances(a)
         for b in anchors[i + 1 :]:
@@ -516,7 +544,7 @@ def audit_induction_step(g: Graph, b_set, c_set, q, c: int, res: InductionResult
                 "clause 4: B' not anticomplete to the paths outside N^2[q']",
                 detail={"vertex": b, "touches": bad},
             )
-    allowed = c_set | {q} | ((b_set & (g.ball(qp, 2) - {qp})) - g.ball(q, 3))
+    allowed = c_set | {q} | ((b_set & (near_qp - {qp})) - g.ball(q, 3))
     if not pathset <= allowed:
         raise VerificationError(
             "clause 5: path vertices outside C + q + (B near q' away from q)",
@@ -560,6 +588,10 @@ def rope_induction_step(
     Strict mode enforces chi(C) >= 6c + 17; relaxed mode proceeds best-effort
     and reports which proof branch collapsed.  All eight output clauses are
     machine-verified before returning.
+
+    The richest level t is at least 4, so M, the levels before t, holds q,
+    and g[M] is connected through its levels: a vertex of B with a
+    neighbour in M is reached from q within M plus itself.
     """
     b_set, c_set = frozenset(b_set), frozenset(c_set)
     if odd_girth(g) < 11:
@@ -593,16 +625,12 @@ def rope_induction_step(
             "branch collapse: no component of the far level avoids the 4-ball of q",
             detail={"branch": "far-component"},
         )
-    m_set = frozenset().union(*levels[:t]) if t > 0 else frozenset()
+    m_set = frozenset().union(*levels[:t])
 
     b0 = frozenset(v for v in b_set if not (g.neighbours(v) & m_set))
     b1, b2 = set(), set()
     for v in b_set - b0:
-        h = g.induced_subgraph(m_set | {v})
-        d = h.bfs_distances(q).get(v)
-        if d is None:
-            b0 |= {v}  # unreachable through M behaves like the no-neighbour class
-            continue
+        d = g.induced_subgraph(m_set | {v}).bfs_distances(q)[v]
         (b1 if d % 2 == 1 else b2).add(v)
     b_parts = (b0, frozenset(b1), frozenset(b2))
     c_parts = tuple(
@@ -623,9 +651,7 @@ def rope_induction_step(
                 "branch collapse: no part of the far component is chromatically rich",
                 detail={"branch": "partition", "chi_parts": tuple(chi_parts), "needed": c + 3},
             )
-        result = _induction_branch_through(
-            g, b_parts[h], c_parts[h], q, c, m_set, h
-        )
+        result = _induction_branch_through(g, b_parts[h], c_parts[h], q, c, m_set)
     audit_induction_step(g, b_set, c_set, q, c, result)
     return result
 
@@ -646,7 +672,7 @@ def _induction_branch_near(g, b0, c0, q, c, levels, t, m_set):
             detail={"branch": "grading-near"},
         )
     sub = g.induced_subgraph(c0)
-    grading = StableGrading(parts=tuple(p for p in parts))
+    grading = StableGrading(parts=tuple(parts))
     x, u_prime, q_prime = earlier_witness_tf(sub, grading, c)
     c_prime = frozenset(x)
 
@@ -665,13 +691,13 @@ def _induction_branch_near(g, b0, c0, q, c, levels, t, m_set):
     )
 
 
-def _induction_branch_through(g, b_h, c_h, q, c, m_set, h):
+def _induction_branch_through(g, b_h, c_h, q, c, m_set):
     """Case chi(C_h) >= c + 3 for h in {1, 2}: grade C_h by the first vertex
     of M whose second neighbourhood through B_h reaches it, and route the two
-    paths through cover vertices b_{u'}, b_{q'}."""
-    sub_m = g.induced_subgraph(m_set | {q}) if q not in m_set else g.induced_subgraph(m_set)
-    dist_m = sub_m.bfs_distances(q)
-    order = sorted(m_set | {q}, key=lambda v: (dist_m.get(v, 10**9), label_key(v)))
+    paths through cover vertices b_{u'}, b_{q'}.  M holds q and is connected,
+    so its vertices are ordered by their distance from q within M."""
+    dist_m = g.induced_subgraph(m_set).bfs_distances(q)
+    order = sorted(m_set, key=lambda v: (dist_m[v], label_key(v)))
     parts = []
     assigned = set()
     for m in order:
@@ -716,8 +742,8 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, h):
             "branch collapse: missing cover connector for the grading witnesses",
             detail={"branch": "connectors-through"},
         )
-    base_u = _lex_shortest_path(g.induced_subgraph(m_set | {q, b_u}), q, b_u)
-    base_q = _lex_shortest_path(g.induced_subgraph(m_set | {q, b_q}), q, b_q)
+    base_u = _lex_shortest_path(g.induced_subgraph(m_set | {b_u}), q, b_u)
+    base_q = _lex_shortest_path(g.induced_subgraph(m_set | {b_q}), q, b_q)
     if base_u is None or base_q is None:
         raise VerificationError(
             "branch collapse: cover connectors unreachable through the levels",
@@ -748,8 +774,10 @@ class BrokenRopeResult:
     rope: BrokenRope
 
 
-def audit_broken_rope(g: Graph, b_set, c_set, q1, c: int, res: BrokenRopeResult):
-    """Machine-check the seven output clauses plus the rope clauses."""
+def audit_broken_rope(g: Graph, c_set, q1, c: int, res: BrokenRopeResult):
+    """Machine-check the seven output clauses plus the rope clauses.  That
+    B' and C' are nested in the inputs follows from the audit of each
+    induction step, which checks it against that step's inputs."""
     bp, cp = res.b_prime, res.c_prime
     rope = res.rope
     anchors = rope.anchors
@@ -835,7 +863,7 @@ def build_broken_rope(
         anchors=tuple(anchors),
         rope=BrokenRope(anchors=tuple(anchors), paths=tuple(tuple(p) for p in pairs)),
     )
-    audit_broken_rope(g, b_set, c_set, q1, c, result)
+    audit_broken_rope(g, c_set, q1, c, result)
     return result
 
 
@@ -1042,7 +1070,7 @@ def _close_broken_rope(g, broken: BrokenRopeResult, levels, s, q1) -> Arithmetic
         raise VerificationError(
             "rope pipeline: no hooks into the level below", detail={"branch": "closing-hooks"}
         )
-    low = frozenset().union(*levels[: s - 1]) if s >= 1 else frozenset()
+    low = frozenset().union(*levels[: s - 1])
     p2 = _lex_shortest_path(g.induced_subgraph(low | {a1, a2}), a1, a2)
     if p2 is None:
         raise VerificationError(

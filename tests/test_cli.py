@@ -210,6 +210,18 @@ def _rope_with_object_label(capsys):
     return json.dumps(rope)
 
 
+def _rope_with_empty_path(capsys):
+    rope = json.loads(_rope_text(capsys))
+    rope["paths"][0][1] = []
+    return json.dumps(rope)
+
+
+def _rope_of_unknown_kind(capsys):
+    rope = json.loads(_rope_text(capsys))
+    rope["kind"] = "wheel"
+    return json.dumps(rope)
+
+
 @pytest.mark.parametrize(
     "command, make_text",
     [
@@ -223,6 +235,9 @@ def _rope_with_object_label(capsys):
         ("rope verify", None),
         ("rope verify", lambda capsys: _rope_text(capsys)[:40]),
         ("rope verify", _rope_with_object_label),
+        ("verify", _rope_with_empty_path),
+        ("rope verify", _rope_with_empty_path),
+        ("rope verify", _rope_of_unknown_kind),
     ],
     ids=[
         "point-missing-key",
@@ -235,6 +250,9 @@ def _rope_with_object_label(capsys):
         "rope-file-missing",
         "rope-file-truncated",
         "rope-label-object",
+        "verify-rope-empty-path",
+        "rope-empty-path",
+        "rope-unknown-kind",
     ],
 )
 def test_malformed_certificates_are_usage_errors(capsys, tmp_path, command, make_text):

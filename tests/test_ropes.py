@@ -3,13 +3,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tperfect.colouring import chi_exact
 from tperfect.corpus import cycle, grotzsch
 from tperfect.errors import PreconditionError, VerificationError
-from tperfect.graphs import Graph, is_cycle_induced, odd_girth
+from tperfect.graphs import Graph, is_cycle_induced, is_path_induced, odd_girth
 from tperfect.ropes import (
     ArithmeticRope,
+    BrokenRope,
     StableGrading,
     broken_rope_threshold,
     build_broken_rope,
@@ -46,6 +48,9 @@ def test_generate_and_verify():
     g5, rope5 = generate_rope(5, 7, 8)
     assert verify_rope(g5, rope5)
     assert rope5.r == 5
+    # 2^20 choice vectors, checked through their 760 pairs of paths
+    g20, rope20 = generate_rope(20, 7, 8)
+    assert verify_rope(g20, rope20)
 
 
 def test_generate_rejects_bad_lengths():
@@ -88,6 +93,87 @@ def test_verify_rope_rejects_tampering():
     retraced = ArithmeticRope(anchors=rope2.anchors, paths=((odd, even), (odd[::-1], even[::-1])))
     with pytest.raises(VerificationError, match="internally disjoint"):
         verify_rope(g2, retraced)
+
+
+@st.composite
+def drawn_ropes(draw):
+    """A rope or broken rope with r = 1-5 pairs of odd (3, 5, sometimes 1)
+    and even (2, 4 or 6) paths on fresh interior vertices.  Up to two
+    interior vertices are replaced by a vertex of another pair's path, and
+    the graph has the path edges plus up to three edges between paths of
+    different pairs, away from the anchors where the paths have interiors.
+    So the choice clause often holds and often fails by a shared vertex or
+    by a chord."""
+    r = draw(st.integers(1, 5))
+    closed = r >= 2 and draw(st.booleans())
+    n_anchors = r if closed else r + 1
+    paths, n = [], n_anchors
+    for i in range(r):
+        pair = []
+        for length in (draw(st.sampled_from([3, 5, 3, 5, 1])), draw(st.sampled_from([2, 4, 6]))):
+            pair.append([i, *range(n, n + length - 1), (i + 1) % n_anchors])
+            n += length - 1
+        paths.append(pair)
+
+    def paths_of_two_pairs():
+        i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        return paths[i][draw(st.integers(0, 1))], paths[j][draw(st.integers(0, 1))]
+
+    if r >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            path, other = paths_of_two_pairs()
+            if len(path) > 2:
+                path[draw(st.integers(1, len(path) - 2))] = draw(st.sampled_from(other))
+    edges = {frozenset(e) for pair in paths for p in pair for e in zip(p, p[1:])}
+    if r >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            path, other = paths_of_two_pairs()
+            ends = [draw(st.sampled_from(p[1:-1] or p)) for p in (path, other)]
+            edges.add(frozenset(ends))
+    g = Graph(range(n), [tuple(e) for e in edges if len(e) == 2])
+    kind = ArithmeticRope if closed else BrokenRope
+    return g, kind(anchors=tuple(range(n_anchors)), paths=tuple(map(tuple, paths)))
+
+
+# messages of the clauses verify_rope checks before the choice clause
+EARLIER_CLAUSES = (
+    "path endpoints do not match the anchors",
+    "constituent path not induced",
+    "first path of a pair must have odd length",
+    "second path of a pair must have even length",
+)
+
+
+def _first_failing_choice(g, rope):
+    """The choice clause by its definition: every choice vector, in
+    lexicographic order, chains an induced cycle or induced path."""
+    closed = isinstance(rope, ArithmeticRope)
+    for h in product((1, 2), repeat=len(rope.paths)):
+        seq = _chain(rope, h)
+        if len(set(seq)) != len(seq):
+            return "chosen paths are not internally disjoint", {"choice": h}
+        if not (is_cycle_induced(g, seq) if closed else is_path_induced(g, seq)):
+            clause = "induced cycle clause violated" if closed else "induced path clause violated"
+            return clause, {"choice": h, "sequence": seq}
+    return None
+
+
+@settings(max_examples=400)
+@given(drawn_ropes())
+def test_choice_clause_matches_all_choice_vectors(drawn):
+    g, rope = drawn
+    try:
+        verify_rope(g, rope)
+        got = None
+    except VerificationError as e:
+        got = (str(e), e.detail)
+    if got is not None and got[0] in EARLIER_CLAUSES:
+        return
+    expected = _first_failing_choice(g, rope)
+    if expected is None:
+        assert got is None or got[0] == "anchor distance clause violated"
+    else:
+        assert got == expected
 
 
 def test_rope_json_roundtrip():
