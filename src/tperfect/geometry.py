@@ -3,9 +3,12 @@ by the double description method, an exact simplex solver, hull membership
 and matrix rank.
 
 All arithmetic is exact.  Internally points are stored in homogeneous integer
-coordinates (den, x_1*den, ..., x_d*den), and the simplex pivots on an integer
-tableau over one common denominator (fraction-free pivoting, Edmonds 1967 /
-Bareiss 1968); the public API speaks ``fractions.Fraction``.
+coordinates (den, x_1*den, ..., x_d*den).  The double description tests
+adjacency combinatorially, by intersecting per-row bitsets of tight vertices
+(Fukuda & Prodon, "Double description method revisited", 1996), and the
+simplex pivots on an integer tableau over one common denominator
+(fraction-free pivoting, Edmonds 1967 / Bareiss 1968); the public API speaks
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -116,6 +119,15 @@ def _dd_enumerate(int_rows, dim):
     (homogeneous point, tight row mask) pairs, the artificial rows' mask bits
     first.  Raises if the feasible set touches the artificial simplex, which
     signals unboundedness or an out-of-box input.
+
+    Inserting a row that cuts the polytope keeps the vertices on its feasible
+    side and adds, for each edge from a vertex i strictly inside to a vertex
+    j strictly outside, the point where the edge crosses the row.  Vertices
+    i and j span an edge iff at least dim - 1 rows are tight on both and no
+    third vertex is tight on all of those rows (the combinatorial test).  It
+    is decided with one bitset of vertex indices per row, the vertices tight
+    on it: the bitsets of the common rows are ANDed, and the pair is an edge
+    iff only i and j remain.
     """
     d = dim
     # artificial rows: x_i >= -2 and sum x <= 2d + 1
@@ -143,6 +155,15 @@ def _dd_enumerate(int_rows, dim):
         zer = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         masks = [m for _, m in verts]
+        # tight[low]: bitset of the indices of the vertices tight on the row
+        # whose mask bit is low
+        tight = {}
+        for t, m in enumerate(masks):
+            while m:
+                low = m & -m
+                tight[low] = tight.get(low, 0) | (1 << t)
+                m ^= low
+        everyone = (1 << len(masks)) - 1
         new_points = {}
         for i in pos:
             mi = masks[i]
@@ -150,24 +171,20 @@ def _dd_enumerate(int_rows, dim):
                 common = mi & masks[j]
                 if common.bit_count() < d - 1:
                     continue
-                # combinatorial adjacency: no third vertex is tight on all
-                # rows that are tight on both endpoints
-                adjacent = True
-                for t, m in enumerate(masks):
-                    if t != i and t != j and m & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                # combinatorial adjacency: i and j are the only vertices
+                # tight on every row that is tight on both
+                pair = (1 << i) | (1 << j)
+                both, rest = everyone, common
+                while rest and both != pair:
+                    low = rest & -rest
+                    both &= tight[low]
+                    rest ^= low
+                if both != pair:
                     continue
                 pi, pj = verts[i][0], verts[j][0]
                 si, sj = vals[i], vals[j]
                 w = _normalize_point(tuple(si * b - sj * a for a, b in zip(pi, pj)))
-                key = w
-                nm = (common | bit)
-                if key in new_points:
-                    new_points[key] |= nm
-                else:
-                    new_points[key] = nm
+                new_points[w] = new_points.get(w, 0) | common | bit
         kept = [(verts[i][0], masks[i]) for i in pos]
         kept += [(verts[i][0], masks[i] | bit) for i in zer]
         kept += list(new_points.items())

@@ -294,6 +294,32 @@ def odd_girth(g: Graph):
     return math.inf if cycle is None else len(cycle)
 
 
+def has_k4_minor(g: Graph) -> bool:
+    """True iff K4 is a minor of g, i.e. g is not series-parallel.
+
+    Series-parallel reduction: delete a vertex of degree at most 1, or
+    delete a vertex of degree 2 and join its two neighbours, until neither
+    applies.  Both steps keep "has a K4 minor" in either direction, and a
+    nonempty graph of minimum degree 3 has a K4 minor (Dirac 1952), so g
+    has none iff the reduction empties it, in whatever order the steps run.
+    """
+    adj = {v: set(ns) for v, ns in g._adj.items()}
+    low = [v for v, ns in adj.items() if len(ns) <= 2]
+    while low:
+        v = low.pop()
+        if v not in adj or len(adj[v]) > 2:
+            continue
+        ns = adj.pop(v)
+        for u in ns:
+            adj[u].discard(v)
+        if len(ns) == 2:
+            a, b = ns
+            adj[a].add(b)
+            adj[b].add(a)
+        low.extend(u for u in ns if len(adj[u]) <= 2)
+    return bool(adj)
+
+
 def is_path_induced(g: Graph, path) -> bool:
     """Check that the vertex list is an induced path of g: its vertices are
     distinct, consecutive ones are adjacent, and no other pair is."""

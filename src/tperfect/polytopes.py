@@ -24,7 +24,7 @@ from .geometry import (
     qvec,
     _rank,
 )
-from .graphs import Graph, label_key
+from .graphs import Graph, has_k4_minor, label_key, shortest_odd_cycle
 
 # Vertex enumeration cost grows quickly with dimension; refuse above this.
 POLYTOPE_DIM_CAP = 16
@@ -151,11 +151,15 @@ def hstab(g: Graph) -> HPolytope:
     return HPolytope(dim=q.dim, inequalities=q.inequalities + _odd_cycle_rows(g))
 
 
-def relaxation_vertices(g: Graph, p: HPolytope) -> VRep:
-    if p.dim > POLYTOPE_DIM_CAP:
+def _check_dim_cap(dim: int) -> None:
+    if dim > POLYTOPE_DIM_CAP:
         raise CapExceededError(
-            f"vertex enumeration capped at dimension {POLYTOPE_DIM_CAP}, got {p.dim}"
+            f"vertex enumeration capped at dimension {POLYTOPE_DIM_CAP}, got {dim}"
         )
+
+
+def relaxation_vertices(g: Graph, p: HPolytope) -> VRep:
+    _check_dim_cap(p.dim)
     return enumerate_vertices(p)
 
 
@@ -221,10 +225,35 @@ def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
     return True
 
 
-def _fractional_witness(g: Graph, relaxation: str, p: HPolytope) -> Optional[ImperfectionWitness]:
+def t_perfect_by_theorem(g: Graph) -> bool:
+    """True when a classical theorem already proves TSTAB(g) = STAB(g): g
+    has no K4 minor, i.e. is series-parallel (Boulala & Uhry 1979), or g - v
+    is bipartite for some vertex v (Fonlupt & Uhry 1982).  The empty graph
+    has no K4 minor.  Such a v lies on every odd cycle, so only the vertices
+    of one odd cycle are tried; a bipartite g has no odd cycle and qualifies
+    outright.
+
+    A True answer settles the clique/odd-cycle relaxation too.  Its clique
+    rows imply the edge rows and, through the clique {v}, the x_v <= 1 row
+    of an isolated v, so STAB(g) <= HSTAB(g) <= TSTAB(g) = STAB(g).
+    """
+    if not has_k4_minor(g):
+        return True
+    cycle = shortest_odd_cycle(g)
+    return cycle is None or any(g.delete_vertices([v]).bipartition() is not None for v in cycle)
+
+
+def _fractional_witness(g: Graph, relaxation: str, build) -> Optional[ImperfectionWitness]:
+    """The lexicographically first fractional vertex of build(g), or None
+    when there is none.  Graphs above the dimension cap are refused before
+    anything else, and graphs that ``t_perfect_by_theorem`` settles skip the
+    relaxation and its vertex enumeration."""
+    _check_dim_cap(g.n)
+    if t_perfect_by_theorem(g):
+        return None
     order = vertex_order(g)
-    verts = relaxation_vertices(g, p)
-    for x in verts.vertices:  # lexicographic order: deterministic witness
+    p = build(g)
+    for x in enumerate_vertices(p).vertices:  # lexicographic order: deterministic witness
         if any(c.denominator != 1 for c in x):
             tight = p.tight_inequalities(x)
             w = ImperfectionWitness(
@@ -241,14 +270,14 @@ def _fractional_witness(g: Graph, relaxation: str, p: HPolytope) -> Optional[Imp
 def is_t_perfect(g: Graph):
     """Exact test whether the edge/odd-cycle relaxation equals the stable set
     polytope.  Returns (True, None) or (False, witness)."""
-    w = _fractional_witness(g, "tstab", tstab(g))
+    w = _fractional_witness(g, "tstab", tstab)
     return (w is None), w
 
 
 def is_h_perfect(g: Graph):
     """Exact test whether the clique/odd-cycle relaxation equals the stable
     set polytope.  Returns (True, None) or (False, witness)."""
-    w = _fractional_witness(g, "hstab", hstab(g))
+    w = _fractional_witness(g, "hstab", hstab)
     return (w is None), w
 
 

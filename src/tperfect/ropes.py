@@ -227,7 +227,7 @@ def verify_rope(g: Graph, rope) -> bool:
         a = anchors[i]
         b = anchors[(i + 1) % len(anchors)] if closed else anchors[i + 1]
         for j, path in enumerate((p1, p2)):
-            if path[0] != a or path[-1] != b:
+            if not path or path[0] != a or path[-1] != b:
                 raise VerificationError(
                     "path endpoints do not match the anchors",
                     detail={"pair": i + 1, "which": j + 1},

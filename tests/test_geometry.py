@@ -8,6 +8,8 @@ from tperfect.errors import InfeasibleError, UnboundedPolytopeError
 from tperfect.geometry import (
     HPolytope,
     Inequality,
+    _dd_enumerate,
+    _row_to_int,
     enumerate_vertices,
     point_in_hull,
     qvec,
@@ -129,3 +131,59 @@ def test_exactness_of_vertices():
     for vert in enumerate_vertices(p).vertices:
         for ineq in p.inequalities:
             assert ineq.evaluate(vert) <= ineq.rhs
+
+
+@st.composite
+def boxed_systems(draw):
+    """An H-polytope in dimension 1-4: the box rows -1 <= x_i <= 1 plus up to
+    six rows with 0/+-1 coefficients.  A right-hand side is a half in
+    [-2, 2], or the row's number of nonzeros, so that the row supports the
+    box at a face and leaves degenerate vertices.  It may be empty."""
+    d = draw(st.integers(1, 4))
+    rows = []
+    for i in range(d):
+        for sign in (1, -1):
+            rows.append(Inequality(qvec([sign if j == i else 0 for j in range(d)]), F(1)))
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=d, max_size=d))
+        halves = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        rhs = draw(st.one_of(halves, st.just(F(sum(map(abs, coeffs))))))
+        rows.append(Inequality(qvec(coeffs), rhs))
+    return HPolytope(dim=d, inequalities=tuple(rows))
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of rows . x = rhs, or None when it is singular."""
+    d = len(rows)
+    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(d):
+        piv = next((i for i in range(col, d) if mat[i][col] != 0), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        for i in range(d):
+            if i != col and mat[i][col] != 0:
+                f = mat[i][col] / mat[col][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return tuple(mat[i][d] / mat[i][i] for i in range(d))
+
+
+@given(boxed_systems())
+def test_vertices_match_brute_force(p):
+    # a vertex is a feasible point where some d rows are tight and
+    # independent: solve every d-row subsystem and keep the feasible points
+    expected = set()
+    for sub in itertools.combinations(p.inequalities, p.dim):
+        x = _solve_square([i.coeffs for i in sub], [i.rhs for i in sub])
+        if x is not None and p.contains(x):
+            expected.add(x)
+    assert set(enumerate_vertices(p).vertices) == expected
+    # each mask the double description keeps is the set of rows tight at
+    # its point, with bit d + 1 + k for the k-th distinct sorted row
+    int_rows = [_row_to_int(i) for i in p.inequalities]
+    rows = sorted(set(int_rows))
+    verts = _dd_enumerate(int_rows, p.dim)
+    assert len({pt for pt, _ in verts}) == len(verts) == len(expected)
+    for pt, mask in verts:
+        tight = sum(1 << (p.dim + 1 + k) for k, row in enumerate(rows) if _dot(row, pt) == 0)
+        assert mask == tight

@@ -5,7 +5,8 @@ import pytest
 
 from tperfect.errors import CapExceededError, VerificationError
 from tperfect.geometry import HPolytope, Inequality, point_in_hull, qvec
-from tperfect.graphs import Graph
+from tperfect.geometry import enumerate_vertices
+from tperfect.graphs import Graph, has_k4_minor
 from tperfect.polytopes import (
     ImperfectionWitness,
     all_stable_sets,
@@ -18,6 +19,7 @@ from tperfect.polytopes import (
     maximal_cliques,
     qstab,
     relaxation_vertices,
+    t_perfect_by_theorem,
     tstab,
     verify_witness,
     vertex_order,
@@ -184,3 +186,53 @@ def test_fractional_vertices_lie_outside_stab():
                 assert not point_in_hull(stables, x)
                 checked += 1
     assert checked == 259
+
+
+def test_k4_minor():
+    assert has_k4_minor(complete(4))
+    # K4 with every edge subdivided once
+    subdivided = Graph(
+        list(range(4)) + [("s", i, j) for i in range(4) for j in range(i + 1, 4)],
+        [e for i in range(4) for j in range(i + 1, 4) for e in ((i, ("s", i, j)), (("s", i, j), j))],
+    )
+    assert has_k4_minor(subdivided)
+    assert has_k4_minor(wheel(5)) and has_k4_minor(wheel(6))
+    for n in (3, 4, 5, 8):
+        assert not has_k4_minor(cycle(n))
+    k25 = Graph(range(7), [(i, j) for i in range(2) for j in range(2, 7)])
+    assert not has_k4_minor(k25)
+    tree = Graph.from_networkx(nx.random_labeled_tree(12, seed=3))
+    assert not has_k4_minor(tree)
+    rim = wheel(6).delete_vertices([6])
+    assert not has_k4_minor(rim)
+    assert not has_k4_minor(Graph([], []))
+
+
+def test_theorem_shortcut_cases():
+    assert t_perfect_by_theorem(Graph([], []))
+    assert t_perfect_by_theorem(cycle(7))
+    assert t_perfect_by_theorem(Graph(range(3), []))
+    # an even wheel has a K4 minor, and is settled because G - hub is bipartite
+    assert has_k4_minor(wheel(6)) and t_perfect_by_theorem(wheel(6))
+    assert is_t_perfect(wheel(6)) == (True, None)
+    # W5 has a K4 minor, and G - v keeps an odd cycle for every v; the DD
+    # then refutes it
+    assert not t_perfect_by_theorem(wheel(5))
+    assert not t_perfect_by_theorem(complete(4))
+    assert not is_t_perfect(wheel(5))[0]
+
+
+def test_theorem_shortcut_sound_on_atlas():
+    # wherever the shortcut accepts, neither relaxation has a fractional
+    # vertex: checked by the double description on every graph with 1 to 7
+    # vertices
+    graphs = [Graph.from_networkx(h) for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 7]
+    assert len(graphs) == 1252
+    settled = 0
+    for g in graphs:
+        if not t_perfect_by_theorem(g):
+            continue
+        settled += 1
+        for p in (tstab(g), hstab(g)):
+            assert all(c.denominator == 1 for x in enumerate_vertices(p).vertices for c in x)
+    assert settled == 682

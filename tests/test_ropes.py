@@ -95,6 +95,16 @@ def test_verify_rope_rejects_tampering():
         verify_rope(g2, retraced)
 
 
+def test_verify_rope_rejects_empty_path():
+    # a rope built in code, not parsed from JSON, may carry an empty path
+    g, rope = generate_rope(2, 7, 8)
+    (odd, _), second = rope.paths
+    for paths, which in ((((odd, []), second), 2), ((([], odd), second), 1)):
+        with pytest.raises(VerificationError) as err:
+            verify_rope(g, ArithmeticRope(rope.anchors, paths))
+        assert err.value.detail == {"pair": 1, "which": which}
+
+
 @st.composite
 def drawn_ropes(draw):
     """A rope or broken rope with r = 1-5 pairs of odd (3, 5, sometimes 1)
