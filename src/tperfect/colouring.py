@@ -94,6 +94,8 @@ def verify_fractional_colouring(g: Graph, fc: FractionalColouring) -> bool:
     for s, w in fc.weights:
         if w <= 0:
             raise VerificationError("non-positive weight in fractional colouring")
+        if not all(v in g for v in s):
+            raise VerificationError("fractional colouring names a missing vertex", detail={"set": s})
         if not is_stable(g, s):
             raise VerificationError("non-stable set in fractional colouring", detail={"set": s})
     for v in g.vertices:
@@ -355,6 +357,11 @@ def certify(g: Graph) -> Certificate:
     A failed round triggers the refutation path: a fractional relaxation
     vertex when the graph fits the polytope cap, otherwise a replayable
     sequence of deletions and contractions ending in an odd wheel.
+
+    The colouring gives round i's class colour i and shifts the exact
+    colouring of the remainder past them.  That uses every colour
+    0..k - 1: each class has at least ell*n/(2*ell + 1) > 0 vertices, as
+    reduce_odd_girth checks, and chi_exact colours contiguously from 0.
     """
     if g.n > COMBINATORIAL_CAP:
         raise CapExceededError(f"certify capped at {COMBINATORIAL_CAP} vertices")
@@ -385,10 +392,7 @@ def certify(g: Graph) -> Certificate:
     offset = len(classes)
     for v, c in rest.assignment.items():
         assignment[v] = offset + c
-    used = sorted(set(assignment.values()))
-    relabel = {c: i for i, c in enumerate(used)}
-    assignment = {v: relabel[c] for v, c in assignment.items()}
-    col = Colouring(assignment, len(used))
+    col = Colouring(assignment, offset + rest.num_colours)
     verify_colouring(g, col)
     return Certificate(kind="colouring", colouring=col)
 

@@ -6,7 +6,10 @@ class TPerfectError(Exception):
 
 
 class UnknownVertexError(TPerfectError, KeyError):
-    """A referenced vertex is not in the graph."""
+    """A referenced vertex is not in the graph.  Its message prints plain,
+    not quoted as KeyError prints its key."""
+
+    __str__ = TPerfectError.__str__
 
 
 class PreconditionError(TPerfectError, ValueError):

@@ -197,20 +197,21 @@ class Graph:
 
 @dataclass(frozen=True)
 class Levelling:
-    """BFS levels from a root: levels[i] is the distance-i sphere."""
+    """BFS levels from a root over the root's component: levels[i] is the
+    distance-i sphere, and level[v] the index of the level holding v."""
 
-    root: Vertex
     levels: tuple  # tuple of frozensets
+    level: dict  # vertex -> distance from the root
 
     def depth(self) -> int:
         return len(self.levels) - 1
 
 
 def bfs_levelling(g: Graph, root) -> Levelling:
-    dist = g.bfs_distances(root)
-    depth = max(dist.values())
-    levels = tuple(frozenset(v for v, d in dist.items() if d == i) for i in range(depth + 1))
-    return Levelling(root=root, levels=levels)
+    level = g.bfs_distances(root)
+    depth = max(level.values())
+    levels = tuple(frozenset(v for v, d in level.items() if d == i) for i in range(depth + 1))
+    return Levelling(levels=levels, level=level)
 
 
 def _induced_edge_count(g: Graph, vs: Iterable[Vertex]) -> int:

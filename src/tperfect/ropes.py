@@ -589,9 +589,15 @@ def rope_induction_step(
     and reports which proof branch collapsed.  All eight output clauses are
     machine-verified before returning.
 
-    The richest level t is at least 4, so M, the levels before t, holds q,
-    and g[M] is connected through its levels: a vertex of B with a
-    neighbour in M is reached from q within M plus itself.
+    The levelling of g[C + q] from q reaches all |C| + 1 vertices exactly
+    when g[C + q] is connected.  The richest level t is at least 4, so M,
+    the levels before t, holds q.  A vertex u of M is at distance level(u)
+    from q inside g[M]: g[M] is a subgraph of g[C + q], so it has no
+    shorter path, and a shortest path of g[C + q] from q to u runs through
+    levels 0..level(u), which all lie in M.  Hence g[M] is connected.  A
+    vertex v of B other than q lies outside C + q, hence outside M, so when
+    v has a neighbour in M, its distance from q inside g[M + v] is one more
+    than the least level of its neighbours in M; q itself is at distance 0.
     """
     b_set, c_set = frozenset(b_set), frozenset(c_set)
     if odd_girth(g) < 11:
@@ -602,20 +608,18 @@ def rope_induction_step(
         raise PreconditionError("q must lie outside C")
     if not covers(g, b_set, c_set):
         raise PreconditionError("B does not cover C")
-    if not g.induced_subgraph(c_set | {q}).is_connected():
+    levelling = bfs_levelling(g.induced_subgraph(c_set | {q}), q)
+    levels, level = levelling.levels, levelling.level
+    if len(level) != len(c_set) + 1:
         raise PreconditionError("g[C + q] not connected")
     if strict:
         _require_chi(g, c_set, induction_threshold(c), "C", "threshold")
-
-    # levelling of C + q from q
-    levelling = bfs_levelling(g.induced_subgraph(c_set | {q}), q)
-    levels, depth = levelling.levels, levelling.depth()
 
     t = _richest_level(g, levels)
     if t is None:
         raise VerificationError(
             "branch collapse: levelling from q has depth below 5",
-            detail={"branch": "levelling", "depth": depth},
+            detail={"branch": "levelling", "depth": levelling.depth()},
         )
 
     far = levels[t + 1] - g.ball(q, 4)
@@ -630,7 +634,7 @@ def rope_induction_step(
     b0 = frozenset(v for v in b_set if not (g.neighbours(v) & m_set))
     b1, b2 = set(), set()
     for v in b_set - b0:
-        d = g.induced_subgraph(m_set | {v}).bfs_distances(q)[v]
+        d = 0 if v == q else 1 + min(level[u] for u in g.neighbours(v) & m_set)
         (b1 if d % 2 == 1 else b2).add(v)
     b_parts = (b0, frozenset(b1), frozenset(b2))
     c_parts = tuple(
@@ -651,7 +655,7 @@ def rope_induction_step(
                 "branch collapse: no part of the far component is chromatically rich",
                 detail={"branch": "partition", "chi_parts": tuple(chi_parts), "needed": c + 3},
             )
-        result = _induction_branch_through(g, b_parts[h], c_parts[h], q, c, m_set)
+        result = _induction_branch_through(g, b_parts[h], c_parts[h], q, c, m_set, level)
     audit_induction_step(g, b_set, c_set, q, c, result)
     return result
 
@@ -691,13 +695,12 @@ def _induction_branch_near(g, b0, c0, q, c, levels, t, m_set):
     )
 
 
-def _induction_branch_through(g, b_h, c_h, q, c, m_set):
+def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
     """Case chi(C_h) >= c + 3 for h in {1, 2}: grade C_h by the first vertex
     of M whose second neighbourhood through B_h reaches it, and route the two
-    paths through cover vertices b_{u'}, b_{q'}.  M holds q and is connected,
-    so its vertices are ordered by their distance from q within M."""
-    dist_m = g.induced_subgraph(m_set).bfs_distances(q)
-    order = sorted(m_set, key=lambda v: (dist_m[v], label_key(v)))
+    paths through cover vertices b_{u'}, b_{q'}.  The vertices of M are
+    ordered by their distance from q within M, which is their level."""
+    order = sorted(m_set, key=lambda v: (level[v], label_key(v)))
     parts = []
     assigned = set()
     for m in order:
@@ -1007,17 +1010,21 @@ def find_rope(
 
 
 def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> Optional[ArithmeticRope]:
-    comps = g.induced_subgraph(x_set).connected_components()
-    if len(comps) == 1:
-        comp = comps[0]
-    else:
-        comp, _ = _max_chi_component(g, x_set)
-    levelling = bfs_levelling(g.induced_subgraph(comp), min(comp, key=label_key))
-    levels, depth = levelling.levels, levelling.depth()
+    """Level the component of g[X] with the largest chromatic number from
+    its least vertex; a tie goes to the component with the smallest least
+    vertex."""
+    if not x_set:
+        raise VerificationError("rope pipeline: X is empty")
+    sub = g.induced_subgraph(x_set)
+    comps = sub.connected_components()
+    if len(comps) > 1:
+        sub = max((g.induced_subgraph(comp) for comp in comps), key=lambda h: chi_exact(h)[0])
+    levelling = bfs_levelling(sub, sub.vertices[0])
+    levels = levelling.levels
     s = _richest_level(g, levels)
     if s is None:
         raise VerificationError(
-            "rope pipeline: levelling too shallow", detail={"depth": depth}
+            "rope pipeline: levelling too shallow", detail={"depth": levelling.depth()}
         )
     c_comp, _ = _max_chi_component(g, levels[s + 1])
     q1_candidates = sorted(

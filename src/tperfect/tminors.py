@@ -18,7 +18,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError, UnknownVertexError, VerificationError
 from .graphs import Graph, is_cycle_induced, is_stable, label_key, odd_girth
 
 
@@ -131,9 +131,15 @@ def t_contract(g: Graph, v):
 
 
 def _replayed(base: Graph, steps) -> TraceBuilder:
+    """Apply the steps to base; an illegal step, such as deleting a vertex
+    that is gone or contracting a neighbourhood that is not stable, raises
+    VerificationError with the step's index in steps."""
     builder = TraceBuilder(base)
-    for step in steps:
-        builder.apply(step)
+    for i, step in enumerate(steps):
+        try:
+            builder.apply(step)
+        except (PreconditionError, UnknownVertexError) as e:
+            raise VerificationError(f"illegal trace step: {e}", detail={"step": i}) from e
     return builder
 
 
@@ -333,9 +339,13 @@ def connected_bipartite_containing(g: Graph, s, g_param: int) -> frozenset:
     """A minimal connected vertex set containing the stable set s, which is
     bipartite whenever the odd girth exceeds 2*|s|.
 
-    Greedy deletion: repeatedly drop the smallest vertex outside s whose
+    Greedy deletion: in label order, drop each vertex outside s whose
     removal keeps s inside one connected component, restricting to that
     component.  Bipartiteness of the final set is asserted.
+
+    One pass drops what restarting the scan after each drop would: a vertex
+    whose removal splits s keeps splitting it as the set shrinks, since a
+    path in the smaller set is also a path in the larger one.
     """
     s = frozenset(s)
     if not s:
@@ -350,17 +360,11 @@ def connected_bipartite_containing(g: Graph, s, g_param: int) -> frozenset:
         raise PreconditionError("odd girth below 2*g + 1")
 
     h = set(g.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(h - s, key=label_key):
-            sub = g.induced_subgraph(h - {v})
-            comps = sub.connected_components()
-            hosts = [c for c in comps if s <= c]
+    for v in g.vertices:
+        if v in h and v not in s:
+            hosts = [c for c in g.induced_subgraph(h - {v}).connected_components() if s <= c]
             if hosts:
                 h = set(hosts[0])
-                changed = True
-                break
     result = g.induced_subgraph(h)
     if result.bipartition() is None:
         raise VerificationError(

@@ -124,6 +124,55 @@ def test_oddwheel_witness(capsys, tmp_path):
     assert code == 1 and out.strip() == "none"
 
 
+@pytest.mark.parametrize(
+    "which, steps, index",
+    [
+        ("wheel", [["delete", "0"], ["delete", "0"]], 1),
+        ("wheel", [["tcontract", "99"]], 0),
+        ("trace", [["delete", "1"], ["tcontract", "5"]], 1),
+        ("trace", [["tcontract", "0"]], 0),
+    ],
+    ids=["wheel-delete-gone", "wheel-contract-missing", "trace-contract-hub", "trace-contract-rim"],
+)
+def test_illegal_trace_step_is_rejected(capsys, tmp_path, which, steps, index):
+    # W5's rim vertex 0 and its hub 5 have neighbourhoods that are not stable
+    code, out, _ = run(capsys, "oddwheel-witness", "corpus:W5", "--json")
+    data = json.loads(out)
+    data["trace"]["steps"] = [{"kind": kind, "vertex": v} for kind, v in steps]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data if which == "wheel" else data["trace"]))
+    code, out, err = run(capsys, "verify", "corpus:W5", str(path))
+    assert code == 1 and out == ""
+    message, detail = err.splitlines()
+    assert message.startswith("certificate rejected: illegal trace step")
+    assert json.loads(detail.removeprefix("detail: ")) == {"step": index}
+
+
+def test_unknown_trace_step_kind_is_a_usage_error(capsys, tmp_path):
+    code, out, _ = run(capsys, "oddwheel-witness", "corpus:W5", "--json")
+    trace = json.loads(out)["trace"]
+    trace["steps"] = [{"kind": "shrink", "vertex": "0"}]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(trace))
+    code, out, err = run(capsys, "verify", "corpus:W5", str(path))
+    assert code == 2 and out == "" and err.startswith("error: unknown step kind")
+
+
+def test_fractional_set_outside_the_graph_is_rejected(capsys, tmp_path):
+    data = _k4_certificate(capsys, "chistar")
+    data["sets"][0]["vertices"].append("99")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "corpus:K4", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines()[0] == "certificate rejected: fractional colouring names a missing vertex"
+
+
+def test_unknown_vertex_message_is_plain(capsys):
+    code, out, err = run(capsys, "tcontract", "corpus:C5", "--vertex", "99")
+    assert code == 2 and out == "" and err == "error: unknown vertex 99\n"
+
+
 def test_rope_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "rope", "generate", "2", "7", "8")
     assert code == 0

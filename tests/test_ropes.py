@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tperfect import ropes
 from tperfect.colouring import chi_exact
 from tperfect.corpus import cycle, grotzsch
 from tperfect.errors import PreconditionError, VerificationError
@@ -12,6 +13,7 @@ from tperfect.graphs import Graph, is_cycle_induced, is_path_induced, odd_girth
 from tperfect.ropes import (
     ArithmeticRope,
     BrokenRope,
+    InductionResult,
     StableGrading,
     broken_rope_threshold,
     build_broken_rope,
@@ -246,6 +248,56 @@ def test_rope_induction_step(layered):
     assert len(res.q1) % 2 == 0  # odd number of edges
 
 
+def _through_instance():
+    """Two 11-rings A and B at level 6 below q, joined by one edge, each ring
+    vertex at the end of a private length-6 spoke from q.  Every spoke
+    vertex has a pendant cover vertex.  Ring vertex j is covered by
+    ("b", side, j), which also meets M, the levels 0..4 before the richest
+    level 5: on ring A at its own spoke's level 4, so at odd distance 5 from
+    q through M, and on ring B at the next spoke's level 3, so at even
+    distance 4.  The rings are then the chromatically rich parts C_1 and
+    C_2 of the far component, and the induction step takes its through
+    branch on C_1."""
+    q = "q"
+    edges = [(("r", "A", 0), ("r", "B", 0))]
+    for side in "AB":
+        for j in range(11):
+            spoke = [q] + [("y", side, j, i) for i in range(1, 6)] + [("r", side, j)]
+            edges += zip(spoke, spoke[1:])
+            edges += [(("p", side, j, i), ("y", side, j, i)) for i in range(1, 6)]
+            hook = ("y", "A", j, 4) if side == "A" else ("y", "B", (j + 1) % 11, 3)
+            edges += [(("r", side, j), ("r", side, (j + 1) % 11)), (("b", side, j), hook)]
+            edges.append((("b", side, j), ("r", side, j)))
+    vertices = {v for e in edges for v in e}
+    b_set = frozenset(v for v in vertices if v[0] in ("b", "p"))
+    c_set = frozenset(v for v in vertices if v[0] in ("y", "r"))
+    return Graph(vertices, edges), b_set, c_set, q
+
+
+def test_rope_induction_through_branch(monkeypatch):
+    g, b_set, c_set, q = _through_instance()
+    assert odd_girth(g) == 11
+    calls = []
+    through = ropes._induction_branch_through
+    monkeypatch.setattr(
+        ropes, "_induction_branch_through", lambda *a: calls.append(a) or through(*a)
+    )
+    res = rope_induction_step(g, b_set, c_set, q, 0, strict=False)
+    assert len(calls) == 1
+    spoke = lambda j: [("y", "A", j, i) for i in range(1, 5)]
+    assert res == InductionResult(
+        b_prime=frozenset(
+            [("b", "A", j) for j in range(2, 11)]
+            + [("p", "A", j, 4) for j in range(2, 11)]
+            + [("p", "B", j, 4) for j in range(11)]
+        ),
+        c_prime=frozenset(("r", "A", j) for j in range(2, 10)),
+        q_prime=("r", "A", 1),
+        q0=(q, *spoke(1), ("b", "A", 1), ("r", "A", 1)),
+        q1=(q, *spoke(0), ("b", "A", 0), ("r", "A", 0), ("r", "A", 1)),
+    )
+
+
 def test_rope_induction_strict_threshold(layered):
     g, b_set, c_set, q1 = layered
     with pytest.raises(PreconditionError):
@@ -282,6 +334,12 @@ def test_find_rope_strict_threshold(layered):
 def test_find_rope_rejects_low_odd_girth():
     with pytest.raises(PreconditionError):
         find_rope(cycle(9), frozenset(range(9)), 2)
+
+
+def test_find_rope_in_empty_set():
+    with pytest.raises(VerificationError, match="no verified rope found") as err:
+        find_rope(cycle(12), frozenset(), 2)
+    assert err.value.detail == {"pipeline_failure": "rope pipeline: X is empty"}
 
 
 def test_seeded_path_chord_mutations():

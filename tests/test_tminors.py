@@ -1,11 +1,13 @@
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tperfect.errors import PreconditionError, VerificationError
 from tperfect.corpus import cycle, complete, wheel
-from tperfect.graphs import Graph
+from tperfect.graphs import Graph, label_key, odd_girth
 from tperfect.polytopes import is_t_perfect
 from tperfect.tminors import (
     OddWheelWitness,
@@ -195,6 +197,44 @@ def test_bipartite_containing_minimality():
             smaller = g.induced_subgraph(h - {v})
             comps = smaller.connected_components()
             assert not any(s <= set(c) for c in comps) or not smaller.is_connected()
+
+
+@st.composite
+def connected_with_stable_set(draw):
+    """A connected graph on 3-10 vertices (a random tree plus up to four
+    edges), a nonempty stable set s in it, and the g that
+    connected_bipartite_containing needs: |s| <= 2g < odd girth."""
+    n = draw(st.integers(3, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    g = Graph(range(n), edges | set(draw(st.lists(pairs, max_size=4))))
+    s = []
+    for v in draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True)):
+        if not any(g.has_edge(v, u) for u in s):
+            s.append(v)
+    og = odd_girth(g)
+    g_param = (len(s) + 1) // 2 if og == math.inf else min((len(s) + 1) // 2, (og - 1) // 2)
+    return g, frozenset(s[: 2 * g_param]), g_param
+
+
+def _restarting_deletion(g, s):
+    """The greedy deletion that restarts its scan after every drop."""
+    h = set(g.vertices)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(h - s, key=label_key):
+            hosts = [c for c in g.induced_subgraph(h - {v}).connected_components() if s <= c]
+            if hosts:
+                h, changed = set(hosts[0]), True
+                break
+    return frozenset(h)
+
+
+@given(connected_with_stable_set())
+def test_bipartite_containing_matches_restarting_scan(drawn):
+    g, s, g_param = drawn
+    assert connected_bipartite_containing(g, s, g_param) == _restarting_deletion(g, s)
 
 
 def test_find_odd_wheel_tminor():
