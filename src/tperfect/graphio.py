@@ -37,7 +37,8 @@ def from_graph6(text: str) -> Graph:
         raise PreconditionError("empty graph6 input")
     try:
         h = nx.from_graph6_bytes(text.encode("ascii"))
-    except (nx.NetworkXError, ValueError, UnicodeEncodeError) as e:
+    except (nx.NetworkXError, ValueError, UnicodeEncodeError, IndexError) as e:
+        # networkx raises IndexError when a "~" size prefix is cut short
         raise PreconditionError(f"malformed graph6 input: {e}") from e
     return Graph.from_networkx(h)
 

@@ -171,20 +171,9 @@ class Graph:
 
     def bipartition(self):
         """Return (A, B) sides of a 2-colouring, or None if not bipartite."""
-        colour = {}
-        for root in self._vertices:
-            if root in colour:
-                continue
-            colour[root] = 0
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in colour:
-                        colour[w] = 1 - colour[u]
-                        queue.append(w)
-                    elif colour[w] == colour[u]:
-                        return None
+        colour = two_colouring(self._adj, self._vertices)
+        if colour is None:
+            return None
         a = frozenset(v for v, c in colour.items() if c == 0)
         b = frozenset(v for v, c in colour.items() if c == 1)
         return a, b
@@ -193,6 +182,29 @@ class Graph:
         """Closed ball: all vertices at distance at most r from v."""
         dist = self.bfs_distances(v)
         return frozenset(u for u, d in dist.items() if d <= r)
+
+
+def two_colouring(adj: dict, roots: Iterable[Vertex]):
+    """Colour 0 or 1 for every vertex of the adjacency map ``adj`` (vertex ->
+    set of neighbours) so that adjacent vertices differ, or None when some
+    component has an odd cycle.  Each component is coloured by BFS from the
+    first of ``roots`` in it, which gets colour 0; ``roots`` must meet every
+    component."""
+    colour = {}
+    for root in roots:
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    queue.append(w)
+                elif colour[w] == colour[u]:
+                    return None
+    return colour
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,14 @@ be replayed and audited independently.
 from __future__ import annotations
 
 import json
+from collections import Counter, deque
 from dataclasses import dataclass
+from hashlib import blake2b
 from itertools import combinations
 from typing import Optional
 
-import networkx as nx
-
 from .errors import PreconditionError, UnknownVertexError, VerificationError
-from .graphs import Graph, is_cycle_induced, is_stable, label_key, odd_girth
+from .graphs import Graph, is_cycle_induced, is_stable, label_key, odd_girth, two_colouring
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,6 @@ class TraceBuilder:
             self.delete(step.vertex)
         else:
             self.tcontract(step.vertex)
-
-    def copy(self) -> "TraceBuilder":
-        """An independent builder at the same point of the same trace."""
-        other = TraceBuilder.__new__(TraceBuilder)
-        other.base = self.base
-        other.graph = self.graph
-        other.steps = list(self.steps)
-        other.classes = dict(self.classes)
-        return other
 
     def trace(self) -> TMinorTrace:
         return TMinorTrace(
@@ -407,12 +398,71 @@ def _hub_structure(g: Graph):
     return None
 
 
+def wl_key(adj: dict) -> bytes:
+    """Two rounds of Weisfeiler-Lehman colour refinement on degree labels,
+    as a 16-byte digest of the adjacency map ``adj`` (vertex -> set of
+    neighbours).  Isomorphic graphs get equal keys.
+
+    With s1(v) = str(deg v) followed by the sorted strings str(deg w) over
+    the neighbours w of v, and s2(v) = (s1(v), sorted s1 over N(v)), the key
+    is the blake2b digest of the sorted counts of s2.  They fix the counts
+    of s1 as well, since s1(v) is the first part of s2(v).
+
+    Two graphs get equal keys iff networkx >= 3.5 gives them equal
+    ``weisfeiler_lehman_graph_hash`` values (default 3 iterations, no
+    attributes), up to collisions of 128-bit blake2b digests.  networkx
+    starts from the labels str(deg v), runs 2 refinement steps and hashes
+    the label counts of both.  Write H for its hex blake2b digest and read H
+    as injective (that is, ignore collisions).  Its first step gives v the
+    label L1(v) = H(s1(v)), the same string s1 as here, so L1 and s1 are in
+    bijection.  Its second step gives L2(v) = H(L1(v) + the sorted L1 over
+    N(v) concatenated).  Every L1 has the same length, so that string splits
+    back into L1(v) and the multiset of L1 over N(v), that is into s2(v);
+    so L2 and s2 are in bijection too.  The final hash is H of the repr of
+    the sorted (L1, count) pairs followed by the sorted (L2, count) pairs.
+    Both runs of counts sum to n, so the repr splits back into the two
+    counters, which are the counters of s1 and s2 renamed by the bijections.
+    So the nx hash fixes the counts of s2 and is fixed by them, and so is
+    the key, a digest of their repr.
+    """
+    deg = {v: str(len(ns)) for v, ns in adj.items()}
+    s1 = {v: deg[v] + "".join(sorted(map(deg.__getitem__, ns))) for v, ns in adj.items()}
+    s2 = Counter((s1[v], tuple(sorted(map(s1.__getitem__, ns)))) for v, ns in adj.items())
+    text = repr(sorted(s2.items()))
+    return blake2b(text.encode(), digest_size=16).digest()
+
+
+# the vertex that a t-contraction child's merged class becomes in _child_adj
+_MERGED = object()
+
+
+def _child_adj(adj: dict, kind: str, v) -> dict:
+    """The adjacency map after one step at v: "delete" drops v, "tcontract"
+    merges N[v] into the vertex _MERGED.  It is the graph that
+    TraceBuilder.apply would give, except that the merged class is not
+    labelled by its smallest member."""
+    if kind == "delete":
+        ns = adj[v]
+        return {u: us - {v} if u in ns else us for u, us in adj.items() if u != v}
+    merged = adj[v] | {v}
+    child = {
+        u: us if us.isdisjoint(merged) else (us - merged) | {_MERGED}
+        for u, us in adj.items()
+        if u not in merged
+    }
+    child[_MERGED] = frozenset(u for u, us in child.items() if _MERGED in us)
+    return child
+
+
 def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitness]:
     """Budgeted search for a replayable trace ending in an odd wheel.
 
     Absence of a result is not a proof of non-existence.  Bipartite graphs
     are rejected immediately (all their deletions and contractions stay
-    bipartite, so no odd wheel can appear).
+    bipartite, so no odd wheel can appear).  The search prunes on wl_key,
+    not on networkx's WL hash, so its answers do not depend on the installed
+    networkx: before 3.5 that hash ran one more round, pruned differently
+    and could give another witness.
     """
     if g.bipartition() is not None:
         return None
@@ -424,41 +474,40 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
         cycle, v = hub
         return extract_wheel_from_hub(g, cycle, v)
 
-    # exhaustive breadth-first search over traces, memoized on a canonical
-    # hash (collisions only lose completeness: every hit is re-verified).
-    # The queue holds step tuples; each popped trace is replayed once and
-    # its children branch off copies of that builder.
-    from collections import deque
-
-    def canon(h: Graph):
-        return nx.weisfeiler_lehman_graph_hash(h.to_networkx())
-
-    seen = {canon(g)}
+    # exhaustive breadth-first search over traces, memoized on wl_key
+    # (collisions only lose completeness: every hit is re-verified).  The
+    # queue holds step tuples; each popped trace is replayed once.  Its
+    # children are adjacency maps, and a child is replayed only when it may
+    # be an odd wheel: an even number n >= 4 of vertices, one of degree
+    # n - 1.  Those tests ignore labels, so the merged placeholder is safe.
+    seen = {wl_key(g._adj)}
     queue = deque([tuple()])
     expanded = 0
     while queue and expanded < budget:
-        builder = _replayed(g, queue.popleft())
+        steps = queue.popleft()
+        h = _replayed(g, steps).graph
         expanded += 1
-        h = builder.graph
         for v in h.vertices:
             for kind in ("tcontract", "delete"):
                 if kind == "tcontract" and not is_stable(h, h.neighbours(v)):
                     continue
-                child = builder.copy()
-                child.apply(TMinorStep(kind, v))
-                res = child.graph
-                if res.n < 4 or res.bipartition() is not None:
+                adj = _child_adj(h._adj, kind, v)
+                n = len(adj)
+                if n < 4 or two_colouring(adj, adj) is not None:
                     continue
-                decomposition = is_odd_wheel(res)
-                if decomposition is not None:
-                    hub_v, rim = decomposition
-                    witness = OddWheelWitness(
-                        trace=child.trace(), hub=hub_v, rim=tuple(rim)
-                    )
-                    verify_odd_wheel_witness(witness)
-                    return witness
-                key = canon(res)
+                child_steps = steps + (TMinorStep(kind, v),)
+                if n % 2 == 0 and any(len(ns) == n - 1 for ns in adj.values()):
+                    child = _replayed(g, child_steps)
+                    decomposition = is_odd_wheel(child.graph)
+                    if decomposition is not None:
+                        hub_v, rim = decomposition
+                        witness = OddWheelWitness(
+                            trace=child.trace(), hub=hub_v, rim=tuple(rim)
+                        )
+                        verify_odd_wheel_witness(witness)
+                        return witness
+                key = wl_key(adj)
                 if key not in seen:
                     seen.add(key)
-                    queue.append(tuple(child.steps))
+                    queue.append(child_steps)
     return None

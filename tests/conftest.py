@@ -69,6 +69,12 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(range(n), edges)
 
 
+def pendant(g: Graph, length: int) -> Graph:
+    """g with a path of ``length`` new vertices hanging off vertex 0."""
+    new = list(range(g.n, g.n + length))
+    return Graph(list(g.vertices) + new, list(g.edges()) + list(zip([0] + new, new)))
+
+
 @pytest.fixture(scope="session")
 def layered():
     return layered_instance()

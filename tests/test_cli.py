@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import pytest
 
 from tperfect import cli
 from tperfect.corpus import make
 from tperfect.graphio import serialize_graph
+
+from conftest import pendant
 
 
 def run(capsys, *argv):
@@ -99,6 +102,27 @@ def test_file_inputs(capsys, tmp_path):
         path.write_text(text)
         code, _, err = run(capsys, "oddgirth", str(path))
         assert code == 2 and err.startswith("error:")
+
+
+def test_graph6_with_a_cut_short_size_prefix_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    for text in ("~", "~?", ">>graph6<<"):
+        path.write_text(text)
+        code, out, err = run(capsys, "chi", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
+
+def test_certify_above_the_cap_writes_nothing_on_stderr(capsys, tmp_path):
+    # 17 vertices, so the refutation comes from the odd-wheel t-minor search
+    path = tmp_path / "w11.json"
+    path.write_text(serialize_graph(pendant(make("W11"), 5), "json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "certify", str(path))
+        assert code == 1 and err == ""
+        code, _, err = run(capsys, "oddwheel-witness", str(path))
+        assert code == 0 and err == ""
 
 
 def test_tcontract(capsys):

@@ -2,9 +2,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tperfect.corpus import make
-from tperfect.errors import PreconditionError
+from tperfect.errors import PreconditionError, TPerfectError
 from tperfect.graphio import (
     from_edge_list,
     from_graph6,
@@ -43,6 +44,15 @@ def test_graph6_malformed():
         from_graph6("")
     with pytest.raises(PreconditionError):
         from_graph6("\x01\x02")
+
+
+@given(st.booleans(), st.text(st.characters(min_codepoint=63, max_codepoint=126)))
+def test_graph6_parser_returns_a_graph_or_a_typed_error(header, body):
+    # 63-126 are the graph6 data characters; "~" starts a long size prefix
+    try:
+        assert isinstance(from_graph6((">>graph6<<" if header else "") + body), Graph)
+    except TPerfectError:
+        pass
 
 
 def test_edge_list_roundtrip():

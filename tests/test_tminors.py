@@ -1,12 +1,17 @@
+import hashlib
 import math
 import random
+import warnings
 from dataclasses import replace
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from tperfect.colouring import certify
 from tperfect.errors import PreconditionError, VerificationError
-from tperfect.corpus import cycle, complete, wheel
+from tperfect.corpus import cycle, complete, make, wheel
 from tperfect.graphs import Graph, label_key, odd_girth
 from tperfect.polytopes import is_t_perfect
 from tperfect.tminors import (
@@ -21,7 +26,10 @@ from tperfect.tminors import (
     replay,
     t_contract,
     verify_odd_wheel_witness,
+    wl_key,
 )
+
+from conftest import pendant
 
 
 def hub_instance(n, positions):
@@ -261,3 +269,90 @@ def test_tminor_closure_property():
         result = builder.graph
         if is_t_perfect(g)[0] and result.n >= 1:
             assert is_t_perfect(result)[0]
+
+
+# sha256 of certify(...).to_json(): wheels with a pendant path, above the
+# polytope cap, so the refutation comes from the odd-wheel t-minor search
+PENDANT_WHEEL_CERTIFICATES = {
+    ("W9", 7): "e6edf4d14991f1d5e85189c6d769dd3c5543235aca7d2da2ecf4016feac3dfa9",
+    ("W11", 5): "ac67c1ffb35013c32c4933df2315a90de40d0dc0d78612edbc0b091aff46262f",
+    ("W13", 4): "2798cb9afe9c2f262b5709b274e9affd47df99df409d21ddf2c186659c55cb5d",
+}
+
+
+@pytest.mark.parametrize("name, tail", sorted(PENDANT_WHEEL_CERTIFICATES))
+def test_certify_pins_pendant_wheel_witnesses(name, tail):
+    text = certify(pendant(make(name), tail)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PENDANT_WHEEL_CERTIFICATES[name, tail]
+
+
+def test_search_budget_pins_expansion_order_and_pruning():
+    # W9 + 7 first reaches an odd wheel while expanding its 346th trace
+    g = pendant(make("W9"), 7)
+    assert find_odd_wheel_tminor(g, budget=345) is None
+    w = find_odd_wheel_tminor(g, budget=346)
+    assert w is not None and verify_odd_wheel_witness(w)
+
+
+def _nx_hash(g):
+    with warnings.catch_warnings():
+        # networkx warns that attribute-free hashes changed in 3.5
+        warnings.simplefilter("ignore")
+        return nx.weisfeiler_lehman_graph_hash(g.to_networkx())
+
+
+def _key(g):
+    return wl_key({v: g.neighbours(v) for v in g.vertices})
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(range(n), edges)
+
+
+def _relabelled(g, seed):
+    perm = list(g.vertices)
+    random.Random(seed).shuffle(perm)
+    index = dict(zip(g.vertices, perm))
+    return Graph(perm, [(index[u], index[v]) for u, v in g.edges()])
+
+
+def _switched(g, seed):
+    """g after up to five degree-preserving switches ab, cd -> ac, bd: the
+    degree labels stay, so only the refinement rounds can tell them apart."""
+    rng = random.Random(seed)
+    edges = {frozenset(e) for e in g.edges()}
+    for _ in range(5):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(map(sorted, edges)), 2)
+        ac, bd = frozenset((a, c)), frozenset((b, d))
+        if len({a, b, c, d}) == 4 and ac not in edges and bd not in edges:
+            edges = edges - {frozenset((a, b)), frozenset((c, d))} | {ac, bd}
+    return Graph(g.vertices, [tuple(e) for e in edges])
+
+
+@given(small_graphs(), small_graphs(), st.integers(0, 1000))
+def test_wl_key_splits_pairs_as_networkx_does(a, b, seed):
+    c = _relabelled(a, seed)
+    assert _key(c) == _key(a)
+    for x, y in ((a, b), (b, c), (a, _switched(c, seed))):
+        assert (_key(x) == _key(y)) == (_nx_hash(x) == _nx_hash(y))
+
+
+def test_wl_key_agrees_with_networkx_on_hard_pairs():
+    two_triangles = Graph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    two_squares = Graph(range(8), [(i, (i + 1) % 4) for i in range(4)]
+                        + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+    # equal after one refinement round, split by the second
+    one_round_a = Graph(range(7), [(0, 2), (0, 6), (1, 2), (1, 6), (3, 4), (4, 5), (5, 6)])
+    one_round_b = Graph(range(7), [(0, 1), (0, 2), (0, 5), (1, 5), (2, 3), (3, 4), (4, 6)])
+    pairs = [(cycle(6), two_triangles), (cycle(8), two_squares), (cycle(6), cycle(7)),
+             (one_round_a, one_round_b)]
+    for x, y in pairs:
+        assert (_key(x) == _key(y)) == (_nx_hash(x) == _nx_hash(y))
+    assert _key(cycle(6)) == _key(two_triangles) and _key(cycle(6)) != _key(cycle(7))
+    assert _key(one_round_a) != _key(one_round_b)
