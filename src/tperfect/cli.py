@@ -52,6 +52,8 @@ def _load_json_file(path: str):
         raise TPerfectError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise TPerfectError(f"malformed JSON in {path}: {e.msg}") from e
+    except RecursionError:
+        raise TPerfectError(f"JSON in {path} nested too deeply") from None
 
 
 def _jsonable(value):
@@ -302,12 +304,15 @@ def cmd_verify(args) -> int:
 
 def _parse(parser, data):
     """Run a certificate parser.  A certificate of the wrong shape (missing
-    members, wrong JSON types, unreadable numbers) is a usage fault of the
-    input, reported as PreconditionError rather than as a failed check."""
+    members, wrong JSON types, unreadable numbers, nesting too deep to
+    decode) is a usage fault of the input, reported as PreconditionError
+    rather than as a failed check."""
     try:
         return parser(data)
     except TPerfectError:
         raise
+    except RecursionError:
+        raise PreconditionError("malformed certificate: nested too deeply") from None
     except (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError) as e:
         raise PreconditionError(f"malformed certificate: {type(e).__name__}: {e}") from e
 

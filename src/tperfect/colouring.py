@@ -1,4 +1,4 @@
-"""Exact colouring, fractional colouring, odd-girth/clique reductions, and
+"""Exact colouring, fractional colouring, the odd-girth reduction, and
 the certifying pipeline that either colours a graph or refutes t-perfection.
 """
 
@@ -296,25 +296,6 @@ def reduce_odd_girth(g: Graph, ell: int) -> frozenset:
     if cycle is not None and len(cycle) < 2 * ell + 3:
         raise VerificationError(
             "odd girth did not rise", detail={"set": s, "violating_cycle": cycle}
-        )
-    return s
-
-
-def reduce_clique(g: Graph) -> frozenset:
-    """A stable set whose removal lowers the clique number.
-
-    Valid for inputs whose clique/odd-cycle relaxation is exact and whose
-    clique number is at least 3; the postcondition is always verified.
-    """
-    omega = clique_number(g)
-    if omega < 3:
-        raise PreconditionError("clique number below 3")
-    s = _largest_support_set(g)
-    if not is_stable(g, s):
-        raise VerificationError("reduction set not stable", detail={"set": s})
-    if clique_number(g.delete_vertices(s)) >= omega:
-        raise VerificationError(
-            "clique number did not drop", detail={"set": s, "omega": omega}
         )
     return s
 

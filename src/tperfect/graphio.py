@@ -56,7 +56,7 @@ def to_edge_list(g: Graph) -> str:
 
 def from_edge_list(text: str) -> Graph:
     """Parse "n m" header plus "u v" edge lines; blank lines and lines
-    starting with # are ignored."""
+    starting with # are ignored.  A negative n or m is rejected."""
     header = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -71,6 +71,8 @@ def from_edge_list(text: str) -> Graph:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise PreconditionError(f"line {lineno}: non-integer header") from None
+            if min(header) < 0:
+                raise PreconditionError(f"line {lineno}: negative count in header")
             continue
         if len(parts) != 2:
             raise PreconditionError(f"line {lineno}: expected 'u v'")
@@ -117,6 +119,16 @@ def to_json_graph(g: Graph) -> str:
 
 
 def from_json_graph(text: str) -> Graph:
+    """Parse {"adjacency": [[vertex, [neighbours]], ...]}.  Input nested too
+    deeply for the JSON parser, decode_label or label_key raises
+    PreconditionError."""
+    try:
+        return _from_json_graph(text)
+    except RecursionError:
+        raise PreconditionError("JSON graph nested too deeply") from None
+
+
+def _from_json_graph(text: str) -> Graph:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -174,7 +186,8 @@ def guess_format(path: str) -> str:
 def parse_label(text: str):
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as e:
+    # the parser reports nesting beyond its stack as MemoryError
+    except (ValueError, SyntaxError, MemoryError, RecursionError) as e:
         raise PreconditionError(f"unparseable label {text!r}") from e
 
 

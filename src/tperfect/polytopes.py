@@ -19,7 +19,6 @@ from .errors import CapExceededError, VerificationError
 from .geometry import (
     HPolytope,
     Inequality,
-    VRep,
     enumerate_vertices,
     qvec,
     _rank,
@@ -33,11 +32,6 @@ POLYTOPE_DIM_CAP = 16
 def vertex_order(g: Graph) -> tuple:
     """The fixed coordinate order used by every polytope built from g."""
     return g.vertices
-
-
-def incidence_vector(order: tuple, subset) -> tuple:
-    s = set(subset)
-    return qvec([1 if v in s else 0 for v in order])
 
 
 def all_stable_sets(g: Graph) -> list:
@@ -151,18 +145,6 @@ def hstab(g: Graph) -> HPolytope:
     return HPolytope(dim=q.dim, inequalities=q.inequalities + _odd_cycle_rows(g))
 
 
-def _check_dim_cap(dim: int) -> None:
-    if dim > POLYTOPE_DIM_CAP:
-        raise CapExceededError(
-            f"vertex enumeration capped at dimension {POLYTOPE_DIM_CAP}, got {dim}"
-        )
-
-
-def relaxation_vertices(g: Graph, p: HPolytope) -> VRep:
-    _check_dim_cap(p.dim)
-    return enumerate_vertices(p)
-
-
 @dataclass(frozen=True)
 class ImperfectionWitness:
     """A fractional vertex of a relaxation, proving it exceeds the stable
@@ -248,7 +230,10 @@ def _fractional_witness(g: Graph, relaxation: str, build) -> Optional[Imperfecti
     when there is none.  Graphs above the dimension cap are refused before
     anything else, and graphs that ``t_perfect_by_theorem`` settles skip the
     relaxation and its vertex enumeration."""
-    _check_dim_cap(g.n)
+    if g.n > POLYTOPE_DIM_CAP:
+        raise CapExceededError(
+            f"vertex enumeration capped at dimension {POLYTOPE_DIM_CAP}, got {g.n}"
+        )
     if t_perfect_by_theorem(g):
         return None
     order = vertex_order(g)

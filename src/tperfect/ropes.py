@@ -268,27 +268,6 @@ def verify_rope(g: Graph, rope) -> bool:
     return True
 
 
-def cycle_through_anchors(rope: ArithmeticRope, chosen) -> list:
-    """An induced cycle of the rope in which the three chosen anchors cut the
-    cycle into three odd-length arcs: pick the odd path once per segment."""
-    if len(chosen) != 3 or any(q not in rope.anchors for q in chosen):
-        raise PreconditionError("need three rope anchors")
-    idx = sorted(rope.anchors.index(q) for q in chosen)
-    r = rope.r
-    # arc j runs from chosen anchor j to the next one; give each arc exactly
-    # one odd path so all three arcs have odd length
-    h = []
-    arc_has_odd = {0: False, 1: False, 2: False}
-    for i in range(r):
-        arc = sum(1 for j in idx if j <= i) % 3
-        if not arc_has_odd[arc]:
-            h.append(1)
-            arc_has_odd[arc] = True
-        else:
-            h.append(2)
-    return _chain(rope, tuple(h))
-
-
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Vertex deletions and neighbourhood contractions with replayable traces,
-plus constructive odd-wheel extraction from hub and rope-plus-bipartite
-configurations.
+plus constructive odd-wheel extraction from hub configurations.
 
 A contraction at v (legal when N(v) is stable) merges the closed
 neighbourhood of v into a single vertex, labelled by the smallest member of
@@ -84,19 +83,11 @@ class TraceBuilder:
             raise PreconditionError(
                 f"contraction at {v!r} illegal: neighbourhood not stable"
             )
-        merged = set(nbrs) | {v}
+        merged = nbrs | {v}
         rep = min(merged, key=label_key)
-        new_class = frozenset().union(*(self.classes[u] for u in merged))
-        outside = set(g.vertices) - merged
-        new_edges = [(a, b) for a, b in g.edges() if a in outside and b in outside]
-        touching = {
-            w for u in merged for w in g.neighbours(u) if w in outside
-        }
-        new_edges += [(rep, w) for w in touching]
-        self.graph = Graph(outside | {rep}, new_edges)
-        for u in merged:
-            del self.classes[u]
-        self.classes[rep] = new_class
+        adj = _child_adj(g._adj, "tcontract", v, rep)
+        self.graph = Graph(adj, [(u, w) for u, ws in adj.items() for w in ws])
+        self.classes[rep] = frozenset().union(*(self.classes.pop(u) for u in merged))
         self.steps.append(TMinorStep("tcontract", v))
 
     def apply(self, step: TMinorStep):
@@ -224,36 +215,16 @@ def verify_odd_wheel_witness(w: OddWheelWitness) -> bool:
 
 
 def _odd_arc_triple(cycle, anchors):
-    """Three anchors splitting the cycle into three odd-length arcs, if any."""
+    """Three anchors splitting the cycle into three odd-length arcs, if any;
+    ``anchors`` lists cycle vertices in cycle order."""
     pos = {v: i for i, v in enumerate(cycle)}
     k = len(cycle)
-    idx = sorted((pos[a] for a in anchors if a in pos))
+    idx = [pos[a] for a in anchors]
     for i, j, l in combinations(idx, 3):
         arcs = (j - i, l - j, k - (l - i))
         if all(a % 2 == 1 for a in arcs):
             return cycle[i], cycle[j], cycle[l]
     return None
-
-
-def _contract_to_wheel(builder: TraceBuilder, hub) -> OddWheelWitness:
-    """Shared tail: the current graph is an induced odd cycle plus ``hub``;
-    repeatedly contract the smallest rim vertex not adjacent to the hub."""
-    while True:
-        g = builder.graph
-        free = [v for v in g.vertices if v != hub and not g.has_edge(v, hub)]
-        if not free:
-            break
-        builder.tcontract(free[0])
-    result = builder.graph
-    if is_odd_wheel(result) is None:
-        raise VerificationError(
-            "contraction loop did not terminate in an odd wheel",
-            detail={"result": result},
-        )
-    rim_cycle = _cycle_order(result.delete_vertices([hub]))
-    witness = OddWheelWitness(trace=builder.trace(), hub=hub, rim=tuple(rim_cycle))
-    verify_odd_wheel_witness(witness)
-    return witness
 
 
 def extract_wheel_from_hub(g: Graph, cycle, v) -> OddWheelWitness:
@@ -272,58 +243,24 @@ def extract_wheel_from_hub(g: Graph, cycle, v) -> OddWheelWitness:
         raise PreconditionError(
             "no three neighbours of v cut the cycle into odd arcs",
         )
+    # contract the smallest rim vertex not adjacent to v until v sees all
     builder = TraceBuilder(g)
-    return _contract_to_wheel(builder, v)
-
-
-def extract_wheel_via_bipartite(g: Graph, x_set, rope, a_side, b_side) -> OddWheelWitness:
-    """Odd-wheel trace for a rope living inside g[X] whose complement part
-    is connected bipartite with sides (A, B), where A avoids X and at least
-    three rope anchors see B.
-
-    Steps follow the inductive proof: delete the X-vertices off the chosen
-    rope cycle, contract every A-vertex (collapsing g - X to one vertex),
-    then run the hub contraction loop.
-    """
-    from .ropes import cycle_through_anchors, verify_rope
-
-    x_set = frozenset(x_set)
-    a_side = frozenset(a_side)
-    b_side = frozenset(b_side)
-    if set(g.vertices) != set(x_set | a_side | b_side):
-        raise PreconditionError("X, A, B must partition the vertex set")
-    rest = g.induced_subgraph(a_side | b_side)
-    if not rest.is_connected():
-        raise PreconditionError("g - X is not connected")
-    if not is_stable(g, a_side) or not is_stable(g, b_side):
-        raise PreconditionError("(A, B) is not a bipartition of g - X")
-    if any(g.neighbours(v) & x_set for v in a_side):
-        raise PreconditionError("a vertex of A has a neighbour in X")
-    if not set(rope.vertices()) <= x_set:
-        raise PreconditionError("rope is not contained in X")
-    # the rope clauses (including anchor distances) live inside g[X]
-    verify_rope(g.induced_subgraph(x_set), rope)
-    b_anchors = [q for q in rope.anchors if g.neighbours(q) & b_side]
-    if len(b_anchors) < 3:
-        raise PreconditionError("fewer than three anchors have neighbours in B")
-    chosen = sorted(b_anchors, key=label_key)[:3]
-    cycle = cycle_through_anchors(rope, chosen)
-
-    builder = TraceBuilder(g)
-    for u in sorted(x_set - set(cycle), key=label_key):
-        builder.delete(u)
     while True:
-        current_a = sorted((v for v in a_side if v in builder.graph), key=label_key)
-        if not current_a:
+        h = builder.graph
+        free = [u for u in h.vertices if u != v and not h.has_edge(u, v)]
+        if not free:
             break
-        builder.tcontract(current_a[0])
-    hub_candidates = [v for v in builder.graph.vertices if v not in set(cycle)]
-    if len(hub_candidates) != 1:
+        builder.tcontract(free[0])
+    result = builder.graph
+    if is_odd_wheel(result) is None:
         raise VerificationError(
-            "bipartite part did not collapse to a single vertex",
-            detail={"leftover": hub_candidates},
+            "contraction loop did not terminate in an odd wheel",
+            detail={"result": result},
         )
-    return _contract_to_wheel(builder, hub_candidates[0])
+    rim_cycle = _cycle_order(result.delete_vertices([v]))
+    witness = OddWheelWitness(trace=builder.trace(), hub=v, rim=tuple(rim_cycle))
+    verify_odd_wheel_witness(witness)
+    return witness
 
 
 def connected_bipartite_containing(g: Graph, s, g_param: int) -> frozenset:
@@ -432,25 +369,24 @@ def wl_key(adj: dict) -> bytes:
     return blake2b(text.encode(), digest_size=16).digest()
 
 
-# the vertex that a t-contraction child's merged class becomes in _child_adj
+# the vertex that a t-contraction child's merged class becomes in the search
 _MERGED = object()
 
 
-def _child_adj(adj: dict, kind: str, v) -> dict:
+def _child_adj(adj: dict, kind: str, v, rep) -> dict:
     """The adjacency map after one step at v: "delete" drops v, "tcontract"
-    merges N[v] into the vertex _MERGED.  It is the graph that
-    TraceBuilder.apply would give, except that the merged class is not
-    labelled by its smallest member."""
+    merges N[v] into the vertex ``rep``.  TraceBuilder.tcontract passes the
+    smallest member of N[v]; the search passes the placeholder _MERGED."""
     if kind == "delete":
         ns = adj[v]
         return {u: us - {v} if u in ns else us for u, us in adj.items() if u != v}
     merged = adj[v] | {v}
     child = {
-        u: us if us.isdisjoint(merged) else (us - merged) | {_MERGED}
+        u: us if us.isdisjoint(merged) else (us - merged) | {rep}
         for u, us in adj.items()
         if u not in merged
     }
-    child[_MERGED] = frozenset(u for u, us in child.items() if _MERGED in us)
+    child[rep] = frozenset(u for u, us in child.items() if rep in us)
     return child
 
 
@@ -491,7 +427,7 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
             for kind in ("tcontract", "delete"):
                 if kind == "tcontract" and not is_stable(h, h.neighbours(v)):
                     continue
-                adj = _child_adj(h._adj, kind, v)
+                adj = _child_adj(h._adj, kind, v, _MERGED)
                 n = len(adj)
                 if n < 4 or two_colouring(adj, adj) is not None:
                     continue

@@ -197,6 +197,36 @@ def test_unknown_vertex_message_is_plain(capsys):
     assert code == 2 and out == "" and err == "error: unknown vertex 99\n"
 
 
+def test_label_nested_past_the_parser_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "tcontract", "corpus:C5", "--vertex=" + "-" * 100000 + "1")
+    assert code == 2 and out == "" and err.startswith("error: unparseable label")
+
+
+_DEEP_ARRAY = "[" * 100000 + "]" * 100000
+# a label the JSON parser reads, but too deep for a decoder that recurses
+# once per level
+_DEEP_LABEL = "[" * 950 + "1" + "]" * 950
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("verify corpus:C5", _DEEP_ARRAY),
+        ("rope verify corpus:C5", _DEEP_ARRAY),
+        ("oddgirth", '{"adjacency": %s}' % _DEEP_ARRAY),
+        ("oddgirth", '{"adjacency": [[%s, []]]}' % _DEEP_LABEL),
+        ("rope verify corpus:C5", '{"kind": "rope", "anchors": [%s, 1], "paths": []}' % _DEEP_LABEL),
+    ],
+    ids=["certificate", "rope-file", "graph-adjacency", "graph-label", "rope-anchor"],
+)
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err and "Traceback" not in err
+
+
 def test_rope_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "rope", "generate", "2", "7", "8")
     assert code == 0

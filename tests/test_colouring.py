@@ -14,13 +14,12 @@ from tperfect.colouring import (
     clique_number,
     fractional_bound_check,
     hbar_colour,
-    reduce_clique,
     reduce_odd_girth,
     verify_colouring,
     verify_fractional_colouring,
 )
-from tperfect.corpus import complement, cycle, complete, fig1a, join, make, wheel
-from tperfect.graphs import Graph, odd_girth
+from tperfect.corpus import cycle, complete, fig1a, join, make, wheel
+from tperfect.graphs import odd_girth
 
 F = Fraction
 
@@ -114,18 +113,6 @@ def test_reduce_odd_girth_preconditions():
         reduce_odd_girth(cycle(5), 0)
     with pytest.raises(PreconditionError):
         reduce_odd_girth(cycle(3), 2)  # odd girth below 2*ell+1
-
-
-def test_reduce_clique():
-    k3 = complete(3)
-    s = reduce_clique(k3)
-    assert clique_number(k3.delete_vertices(s)) < 3
-    prism = complement(cycle(6))
-    s = reduce_clique(prism)
-    assert clique_number(prism.delete_vertices(s)) == 2
-    pendant = Graph(range(4), [(0, 1), (0, 2), (1, 2), (2, 3)])
-    s = reduce_clique(pendant)
-    assert clique_number(pendant.delete_vertices(s)) == 2
 
 
 def test_certify_colouring_branch():

@@ -74,6 +74,10 @@ def test_edge_list_diagnostics():
         from_edge_list("")
     with pytest.raises(PreconditionError, match="mismatch"):
         from_edge_list("3 2\n0 1\n")
+    with pytest.raises(PreconditionError, match="line 1: negative"):
+        from_edge_list("-3 0\n")
+    with pytest.raises(PreconditionError, match="line 2: negative"):
+        from_edge_list("# comment\n3 -1\n")
 
 
 def test_json_graph_roundtrip_with_tuple_labels():

@@ -12,13 +12,11 @@ from tperfect.polytopes import (
     all_stable_sets,
     complement_graph,
     hstab,
-    incidence_vector,
     is_h_perfect,
     is_hbar_perfect,
     is_t_perfect,
     maximal_cliques,
     qstab,
-    relaxation_vertices,
     t_perfect_by_theorem,
     tstab,
     verify_witness,
@@ -41,18 +39,22 @@ def wheel(k):
     return Graph(range(k + 1), edges)
 
 
+def _incidence(order, subset):
+    return qvec([1 if v in subset else 0 for v in order])
+
+
 def test_tstab_row_counts():
     assert len(tstab(cycle(3)).inequalities) == 3 + 3 + 1
     assert len(tstab(complete(4)).inequalities) == 4 + 6 + 4
 
 
 def test_ssp_c5():
-    points = {incidence_vector(vertex_order(cycle(5)), s) for s in all_stable_sets(cycle(5))}
+    points = {_incidence(vertex_order(cycle(5)), s) for s in all_stable_sets(cycle(5))}
     assert len(points) == 11  # empty, 5 singletons, 5 stable pairs
 
 
 def test_tstab_k4_fractional_vertex():
-    v = relaxation_vertices(complete(4), tstab(complete(4)))
+    v = enumerate_vertices(tstab(complete(4)))
     assert tuple(F(1, 3) for _ in range(4)) in set(v.vertices)
 
 
@@ -84,9 +86,9 @@ def test_hbar_perfection_oracle():
 def test_containment_chain():
     for g in (cycle(5), cycle(7), complete(4), wheel(5)):
         ts, hs, qs = tstab(g), hstab(g), qstab(g)
-        for vert in (incidence_vector(vertex_order(g), s) for s in all_stable_sets(g)):
+        for vert in (_incidence(vertex_order(g), s) for s in all_stable_sets(g)):
             assert ts.contains(vert) and hs.contains(vert) and qs.contains(vert)
-        for vert in relaxation_vertices(g, hs).vertices:
+        for vert in enumerate_vertices(hs).vertices:
             assert ts.contains(vert)
             assert qs.contains(vert)
 
@@ -102,12 +104,12 @@ def test_all_cycles_mode_matches_chordless():
         p = tstab(g)
         order = vertex_order(g)
         all_cycle_rows = tuple(
-            Inequality(incidence_vector(order, c), F((len(c) - 1) // 2), tag="oddcycle", source=tuple(c))
+            Inequality(_incidence(order, c), F((len(c) - 1) // 2), tag="oddcycle", source=tuple(c))
             for c in nx.simple_cycles(g.to_networkx())
             if len(c) % 2 == 1
         )
         with_all = HPolytope(p.dim, p.inequalities + all_cycle_rows)
-        assert relaxation_vertices(g, with_all) == relaxation_vertices(g, p)
+        assert enumerate_vertices(with_all) == enumerate_vertices(p)
 
 
 def test_t_vs_h_on_k4_free():
@@ -177,9 +179,9 @@ def test_fractional_vertices_lie_outside_stab():
     assert len(graphs) == 208
     checked = 0
     for g in graphs:
-        stables = [incidence_vector(vertex_order(g), s) for s in all_stable_sets(g)]
+        stables = [_incidence(vertex_order(g), s) for s in all_stable_sets(g)]
         for relaxation, p in (("tstab", tstab(g)), ("hstab", hstab(g))):
-            for x in relaxation_vertices(g, p).vertices:
+            for x in enumerate_vertices(p).vertices:
                 if all(c.denominator == 1 for c in x):
                     continue
                 assert verify_witness(g, _witness_at(g, relaxation, x))

@@ -17,7 +17,6 @@ from tperfect.ropes import (
     StableGrading,
     broken_rope_threshold,
     build_broken_rope,
-    cycle_through_anchors,
     earlier_witness,
     earlier_witness_tf,
     find_rope,
@@ -191,15 +190,6 @@ def test_choice_clause_matches_all_choice_vectors(drawn):
 def test_rope_json_roundtrip():
     _, rope = generate_rope(3, 7, 8)
     assert rope_from_json(rope.to_json()) == rope
-
-
-def test_cycle_through_anchors():
-    g, rope = generate_rope(5, 7, 8)
-    chosen = (rope.anchors[0], rope.anchors[2], rope.anchors[3])
-    cyc = cycle_through_anchors(rope, chosen)
-    assert len(cyc) % 2 == 1
-    assert is_cycle_induced(g, cyc)
-    assert set(chosen) <= set(cyc)
 
 
 def test_earlier_witness_triangle():

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tperfect.colouring import certify
 from tperfect.errors import PreconditionError, VerificationError
@@ -20,7 +20,6 @@ from tperfect.tminors import (
     TraceBuilder,
     connected_bipartite_containing,
     extract_wheel_from_hub,
-    extract_wheel_via_bipartite,
     find_odd_wheel_tminor,
     is_odd_wheel,
     replay,
@@ -152,27 +151,6 @@ def test_seeded_hub_instances():
         if g.n <= 12:
             assert not is_t_perfect(g)[0]
         done += 1
-
-
-def test_extract_wheel_via_bipartite():
-    from tperfect.ropes import generate_rope
-
-    gx, rope = generate_rope(3, 7, 8)
-    x_set = frozenset(gx.vertices)
-    b = ("b",)
-    g = Graph(
-        list(gx.vertices) + [b],
-        list(gx.edges()) + [(b, rope.anchors[i]) for i in range(3)],
-    )
-    w = extract_wheel_via_bipartite(g, x_set, rope, frozenset(), frozenset([b]))
-    assert verify_odd_wheel_witness(w)
-    # fewer than three anchors reaching the bipartite side is rejected
-    g2 = Graph(
-        list(gx.vertices) + [b],
-        list(gx.edges()) + [(b, rope.anchors[i]) for i in range(2)],
-    )
-    with pytest.raises(PreconditionError):
-        extract_wheel_via_bipartite(g2, x_set, rope, frozenset(), frozenset([b]))
 
 
 def test_connected_bipartite_containing():
@@ -311,6 +289,27 @@ def small_graphs(draw):
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(range(n), edges)
+
+
+@given(small_graphs(), st.data())
+def test_t_contract_matches_its_definition(g, data):
+    # a contraction at v with N(v) stable leaves (V - N[v]) + r, where r is
+    # the smallest member of N[v]; edges among V - N[v] stay, r sees every
+    # outside vertex with a neighbour in N[v], and the class of r is N[v]
+    legal = [
+        v for v in g.vertices
+        if not any(g.has_edge(a, b) for a, b in combinations(g.neighbours(v), 2))
+    ]
+    assume(legal)
+    v = data.draw(st.sampled_from(legal))
+    closed = g.neighbours(v) | {v}
+    r = min(closed)
+    outside = set(g.vertices) - closed
+    h, classes = t_contract(g, v)
+    assert set(h.vertices) == outside | {r}
+    assert {e for e in h.edges() if r not in e} == {e for e in g.edges() if set(e) <= outside}
+    assert h.neighbours(r) == {w for w in outside if g.neighbours(w) & closed}
+    assert classes == {**{w: frozenset([w]) for w in outside}, r: frozenset(closed)}
 
 
 def _relabelled(g, seed):
