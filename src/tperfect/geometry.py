@@ -5,8 +5,10 @@ and matrix rank.
 All arithmetic is exact.  Internally points are stored in homogeneous integer
 coordinates (den, x_1*den, ..., x_d*den).  The double description tests
 adjacency combinatorially, by intersecting per-row bitsets of tight vertices
-(Fukuda & Prodon, "Double description method revisited", 1996), and the
-simplex pivots on an integer tableau over one common denominator
+(Fukuda & Prodon, "Double description method revisited", 1996): vertices
+keep stable ids, the bitsets are updated in place as rows go in, and the
+intersection for a set of shared rows is computed once per row insertion.
+The simplex pivots on an integer tableau over one common denominator
 (fraction-free pivoting, Edmonds 1967 / Bareiss 1968); the public API speaks
 ``fractions.Fraction``.
 """
@@ -108,10 +110,6 @@ def _normalize_point(vec):
     return tuple(vec)
 
 
-def _dot(row, point) -> int:
-    return sum(r * p for r, p in zip(row, point))
-
-
 def _dd_enumerate(int_rows, dim):
     """Double description on integer rows (b, -a) meaning a.x <= b.
 
@@ -124,10 +122,33 @@ def _dd_enumerate(int_rows, dim):
     side and adds, for each edge from a vertex i strictly inside to a vertex
     j strictly outside, the point where the edge crosses the row.  Vertices
     i and j span an edge iff at least dim - 1 rows are tight on both and no
-    third vertex is tight on all of those rows (the combinatorial test).  It
-    is decided with one bitset of vertex indices per row, the vertices tight
-    on it: the bitsets of the common rows are ANDed, and the pair is an edge
-    iff only i and j remain.
+    third vertex is tight on all of those rows (the combinatorial test).
+
+    Every vertex keeps the id it was created with; ``pts`` and ``masks`` are
+    indexed by id, and ``order`` lists the current ids: the kept vertices
+    strictly inside, then those on the row, then the new points in the order
+    they were found.  ``tight[low]`` is the bitset of the ids tight on the
+    row whose mask bit is ``low``.  It is updated in place, never rebuilt: a
+    new point marks its own rows, a vertex on the inserted row gains that
+    row, and the ids of removed vertices are left in, because every test
+    intersects with ``alive``, the bitset of the current ids.  So ``pts``,
+    ``masks`` and the width of every bitset grow with the number of vertices
+    ever created, not with the current count.  On the 16-vertex Moebius
+    ladder, at POLYTOPE_DIM_CAP, that is about 10 600 ids against 1154
+    vertices at the end, a few hundred kilobytes of bitsets; a higher cap
+    should revisit it.
+
+    Within one row insertion the adjacency test needs, for common =
+    mask_i & mask_j, the meet: the current vertices tight on every row of
+    common, that is alive & tight[r] over the rows r of common.  While the
+    pairs of that insertion are tested, ``alive`` is fixed and so is
+    ``tight`` on every earlier row: the new points are added only after
+    the last pair, and the vertices on the inserted row change only its own
+    bitset, which no common holds, since i and j are strictly off the row.
+    So the meet is a function of common alone, and it is computed once per
+    distinct common.  Both i and j are tight on every row of common, so the
+    meet contains them, and the pair is an edge iff the meet is exactly
+    {i, j}.
     """
     d = dim
     # artificial rows: x_i >= -2 and sum x <= 2d + 1
@@ -135,35 +156,53 @@ def _dd_enumerate(int_rows, dim):
     art_rows.append(tuple([2 * d + 1] + [-1] * d))
     n_art = len(art_rows)
 
-    verts = []
+    pts, masks, tight = [], [], {}
+
+    def add(point, mask):
+        """Give a new vertex the next id and mark it on its tight rows."""
+        t = len(pts)
+        pts.append(point)
+        masks.append(mask)
+        while mask:
+            low = mask & -mask
+            tight[low] = tight.get(low, 0) | (1 << t)
+            mask ^= low
+        return t
+
     base = [-2] * d
-    verts.append((tuple([1] + base), sum(1 << i for i in range(d))))
+    order = [add(tuple([1] + base), sum(1 << i for i in range(d)))]
     for j in range(d):
         coords = list(base)
         coords[j] = 4 * d - 1
         mask = sum(1 << i for i in range(d) if i != j) | (1 << d)
-        verts.append((tuple([1] + coords), mask))
+        order.append(add(tuple([1] + coords), mask))
 
     rows = sorted(set(int_rows))
     for k, row in enumerate(rows):
         bit = 1 << (n_art + k)
-        vals = [_dot(row, p) for p, _ in verts]
-        if all(v >= 0 for v in vals):
-            verts = [(p, m | bit) if vals[i] == 0 else (p, m) for i, (p, m) in enumerate(verts)]
+        # the rows are sparse: evaluate over the nonzero columns only
+        nz = [(c, r) for c, r in enumerate(row) if r]
+        val = {}
+        pos, zer, neg = [], [], []
+        for t in order:
+            pt = pts[t]
+            v = sum(r * pt[c] for c, r in nz)
+            val[t] = v
+            if v > 0:
+                pos.append(t)
+            elif v:
+                neg.append(t)
+            else:
+                zer.append(t)
+        on_row = 0
+        for t in zer:
+            masks[t] |= bit
+            on_row |= 1 << t
+        tight[bit] = on_row
+        if not neg:
             continue
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zer = [i for i, v in enumerate(vals) if v == 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        masks = [m for _, m in verts]
-        # tight[low]: bitset of the indices of the vertices tight on the row
-        # whose mask bit is low
-        tight = {}
-        for t, m in enumerate(masks):
-            while m:
-                low = m & -m
-                tight[low] = tight.get(low, 0) | (1 << t)
-                m ^= low
-        everyone = (1 << len(masks)) - 1
+        alive = sum(1 << t for t in order)
+        meets = {}
         new_points = {}
         for i in pos:
             mi = masks[i]
@@ -171,34 +210,32 @@ def _dd_enumerate(int_rows, dim):
                 common = mi & masks[j]
                 if common.bit_count() < d - 1:
                     continue
-                # combinatorial adjacency: i and j are the only vertices
-                # tight on every row that is tight on both
-                pair = (1 << i) | (1 << j)
-                both, rest = everyone, common
-                while rest and both != pair:
-                    low = rest & -rest
-                    both &= tight[low]
-                    rest ^= low
-                if both != pair:
+                meet = meets.get(common)
+                if meet is None:
+                    meet, rest = alive, common
+                    while rest:
+                        low = rest & -rest
+                        meet &= tight[low]
+                        rest ^= low
+                    # only a two-id meet can be some pair's edge
+                    meets[common] = meet if meet.bit_count() == 2 else 0
+                if meet != (1 << i) | (1 << j):
                     continue
-                pi, pj = verts[i][0], verts[j][0]
-                si, sj = vals[i], vals[j]
+                pi, pj = pts[i], pts[j]
+                si, sj = val[i], val[j]
                 w = _normalize_point(tuple(si * b - sj * a for a, b in zip(pi, pj)))
                 new_points[w] = new_points.get(w, 0) | common | bit
-        kept = [(verts[i][0], masks[i]) for i in pos]
-        kept += [(verts[i][0], masks[i] | bit) for i in zer]
-        kept += list(new_points.items())
-        verts = kept
-        if not verts:
+        order = pos + zer + [add(w, m) for w, m in new_points.items()]
+        if not order:
             return []
 
     art_mask = (1 << n_art) - 1
-    for p, m in verts:
-        if m & art_mask:
+    for t in order:
+        if masks[t] & art_mask:
             raise UnboundedPolytopeError(
                 "input system is unbounded or escapes the bounding box; a ray survives"
             )
-    return verts
+    return [(pts[t], masks[t]) for t in order]
 
 
 def _homogeneous_to_qvec(point) -> QVec:

@@ -227,10 +227,18 @@ def t_perfect_by_theorem(g: Graph) -> bool:
 
 def _fractional_witness(g: Graph, relaxation: str, build) -> Optional[ImperfectionWitness]:
     """The lexicographically first fractional vertex of build(g), or None
-    when there is none.  Graphs above the dimension cap are refused before
-    anything else, and graphs that ``t_perfect_by_theorem`` settles skip the
-    relaxation and its vertex enumeration."""
+    when there is none.  Graphs that ``t_perfect_by_theorem`` settles skip
+    the relaxation and its vertex enumeration.
+
+    Above the dimension cap only the series-parallel test runs, in time
+    linear in the graph: a graph with no K4 minor is accepted at any size,
+    and any other is refused.  The G - v test is left out there: it
+    searches a shortest odd cycle and rebuilds g without each vertex of it,
+    up to O(n(n + m)), and every graph it does not settle is refused
+    anyway."""
     if g.n > POLYTOPE_DIM_CAP:
+        if not has_k4_minor(g):
+            return None
         raise CapExceededError(
             f"vertex enumeration capped at dimension {POLYTOPE_DIM_CAP}, got {g.n}"
         )

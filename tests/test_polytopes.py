@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import networkx as nx
@@ -5,7 +6,8 @@ import pytest
 
 from tperfect.errors import CapExceededError, VerificationError
 from tperfect.geometry import HPolytope, Inequality, point_in_hull, qvec
-from tperfect.geometry import enumerate_vertices
+from tperfect.corpus import make
+from tperfect.geometry import _dd_enumerate, _row_to_int, enumerate_vertices
 from tperfect.graphs import Graph, has_k4_minor
 from tperfect.polytopes import (
     ImperfectionWitness,
@@ -133,9 +135,49 @@ def test_isolated_vertex_rows():
 
 
 def test_dimension_cap():
-    big = Graph(range(20), [(i, i + 1) for i in range(19)])
+    # K4 with a 16-vertex pendant path: 20 vertices that no theorem settles,
+    # so only the capped double description could decide
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    big = Graph(range(20), k4 + [(i, i + 1) for i in range(3, 19)])
+    assert not t_perfect_by_theorem(big)
     with pytest.raises(CapExceededError):
         is_t_perfect(big)
+    # above the cap only the series-parallel test runs: the even wheel on
+    # 19 vertices has a K4 minor, so it is refused although G - hub is
+    # bipartite
+    wheel = Graph(range(19), [(i, (i + 1) % 18) for i in range(18)] + [(18, i) for i in range(18)])
+    assert t_perfect_by_theorem(wheel)
+    with pytest.raises(CapExceededError):
+        is_t_perfect(wheel)
+
+
+def test_theorem_settles_graphs_above_the_cap():
+    # P20 and C41 have no K4 minor: accepted without the double description
+    for g in (Graph(range(20), [(i, i + 1) for i in range(19)]), cycle(41)):
+        assert is_t_perfect(g) == (True, None)
+        assert is_h_perfect(g) == (True, None)
+
+
+# sha256 of repr(_dd_enumerate(...)) on a relaxation's integer rows: the
+# homogeneous vertices, their tight-row masks and their order.  The witness
+# is the lexicographically first fractional vertex of this output.
+DD_OUTPUTS = {
+    ("W11", "tstab"): "3179b546fb382e8fe4e167f3ff57520ee2822f980b08bf48f643a7bd9ff5c1d8",
+    ("W11", "hstab"): "59f5a3d1df655f3470fc434d5591199ef4f5121829f4f9399b133ec46ad6328c",
+    ("moebius12", "tstab"): "d1b4a8aa5f41378e16fae54afc411fb2b13bae0c55a80682f43e5e9dda2f8a87",
+    ("moebius12", "hstab"): "d1b4a8aa5f41378e16fae54afc411fb2b13bae0c55a80682f43e5e9dda2f8a87",
+    ("grotzsch", "tstab"): "ccb93e794e6ffa5ae9050340f2c157b8e3fd0b57167ecbfe559c71096ebd29c8",
+    ("grotzsch", "hstab"): "ccb93e794e6ffa5ae9050340f2c157b8e3fd0b57167ecbfe559c71096ebd29c8",
+    ("joinC5C5", "tstab"): "a637a9e9c2f924608bfe4f4ecf4838711ae9d53e8d8279e5e16e92537d57d764",
+    ("joinC5C5", "hstab"): "bdc088513adc60225bf89fb370b8799a8dc6547c291854887c0274305a6e5b31",
+}
+
+
+@pytest.mark.parametrize("name, relaxation", sorted(DD_OUTPUTS))
+def test_double_description_output_pinned(name, relaxation):
+    p = {"tstab": tstab, "hstab": hstab}[relaxation](make(name))
+    out = _dd_enumerate([_row_to_int(i) for i in p.inequalities], p.dim)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == DD_OUTPUTS[name, relaxation]
 
 
 def test_witness_rejects_tampering():
