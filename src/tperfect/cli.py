@@ -325,8 +325,9 @@ def _parse_rope(data):
 
 def _verify_dispatch(g: Graph, data) -> bool:
     kind = graphio.identify_certificate(data)
-    if kind == "certificate":
-        return _verify_dispatch(g, data["certificate"])
+    while kind == "certificate":
+        data = data["certificate"]
+        kind = graphio.identify_certificate(data)
     if kind == "colouring":
         from .colouring import verify_colouring
 

@@ -51,7 +51,7 @@ def verify_colouring(g: Graph, col: Colouring) -> bool:
     if set(col.assignment) != set(g.vertices):
         raise VerificationError("colouring does not cover the vertex set")
     used = set(col.assignment.values())
-    if used and (used != set(range(col.num_colours)) or min(used) != 0):
+    if used and used != set(range(col.num_colours)):
         raise VerificationError("colour indices not contiguous from 0")
     if not used and col.num_colours != 0:
         raise VerificationError("empty assignment with positive colour count")

@@ -305,12 +305,12 @@ def generate_rope(r: int, odd_len: int, even_len: int):
     return g, rope
 
 
-def generate_rope_shell(r: int, odd_len: int, even_len: int, depth: int = 6):
+def generate_rope_shell(r: int, odd_len: int, even_len: int):
     """A rope embedded in a larger connected host of odd girth >= 11: a
-    pendant path of the given depth is attached to the first anchor.  Returns
+    pendant path of 6 vertices is attached to the first anchor.  Returns
     (graph, rope, root) where root is the far end of the pendant path."""
     g, rope = generate_rope(r, odd_len, even_len)
-    shell = [("a", k) for k in range(depth)]
+    shell = [("a", k) for k in range(6)]
     vertices = list(g.vertices) + shell
     edges = list(g.edges()) + list(zip(shell, shell[1:])) + [(shell[-1], rope.anchors[0])]
     host = Graph(vertices, edges)
@@ -334,25 +334,34 @@ def _require_chi(g: Graph, subset, need, name: str, threshold: str) -> None:
 
 
 def _richest_level(g: Graph, levels):
-    """The first t >= 4 maximising chi(g[levels[t + 1]]), or None when the
-    levelling has depth below 5."""
-    return max(
-        range(4, len(levels) - 1),
-        key=lambda t: chi_exact(g.induced_subgraph(levels[t + 1]))[0],
-        default=None,
-    )
+    """(t, component): the first t >= 4 maximising chi(g[levels[t + 1]]),
+    with the component of that level that _max_chi_component picks, or
+    (None, None) when the levelling has depth below 5.  A graph's chromatic
+    number is the largest of its components', so each level is coloured
+    only through its components."""
+    t_best, comp_best, k_best = None, None, 0
+    for t in range(4, len(levels) - 1):
+        comp, k = _max_chi_component(g, levels[t + 1])
+        if k > k_best:
+            t_best, comp_best, k_best = t, comp, k
+    return t_best, comp_best
 
 
 def _max_chi_component(g: Graph, subset):
     """Connected component of g[subset] with maximum chromatic number; a tie
     goes to the component with the smallest least vertex.  Returns
-    (component, chi)."""
-    best = None
-    for comp in g.induced_subgraph(subset).connected_components():
-        k, _ = chi_exact(g.induced_subgraph(comp))
-        if best is None or k > best[1]:
-            best = (comp, k)
-    return best if best is not None else (frozenset(), 0)
+    (component, chi), or (frozenset(), 0) for an empty subset.  Since
+    chi <= |V|, a component with no more vertices than the best chi so far
+    cannot beat it and is not coloured."""
+    sub = g.induced_subgraph(subset)
+    comps = sub.connected_components()
+    best = (frozenset(), 0)
+    for comp in comps:
+        if len(comp) > best[1]:
+            k, _ = chi_exact(sub if len(comps) == 1 else sub.induced_subgraph(comp))
+            if k > best[1]:
+                best = (comp, k)
+    return best
 
 
 def earlier_witness(g: Graph, grading: StableGrading, c: int):
@@ -376,7 +385,7 @@ def earlier_witness(g: Graph, grading: StableGrading, c: int):
             if idx[u] < iw and idx[v] < iw and (g.has_edge(w, u) or g.has_edge(w, v)):
                 active.add(w)
                 break
-    comp, chi_a = _max_chi_component(g, active) if active else (frozenset(), 0)
+    comp, chi_a = _max_chi_component(g, active)
     if chi_a < c:
         raise VerificationError(
             "left-active part has too small chromatic number; "
@@ -393,20 +402,19 @@ def earlier_witness(g: Graph, grading: StableGrading, c: int):
     if witness_edge is None:
         raise VerificationError("left-active certificate edge disappeared")
     x = frozenset(comp)
-    _audit_earlier(g, grading, c, x, witness_edge)
+    _audit_earlier(g, grading, x, witness_edge)
     return x, witness_edge
 
 
-def _audit_earlier(g, grading, c, x, edge):
+def _audit_earlier(g, grading, x, edge):
+    """Audit an earlier witness (X, uv) on every clause but chi(X) >= c,
+    which earlier_witness has proved by colouring X just before."""
     idx = grading.index()
     u, v = edge
     if not g.has_edge(u, v):
         raise VerificationError("witness edge is not an edge")
     if not g.induced_subgraph(x).is_connected():
         raise VerificationError("witness set not connected")
-    k, _ = chi_exact(g.induced_subgraph(x))
-    if k < c:
-        raise VerificationError("witness set chromatic number too small")
     if any(idx[u] >= idx[w] or idx[v] >= idx[w] for w in x):
         raise VerificationError("edge ends not earlier than the witness set")
     if not (g.neighbours(u) & x or g.neighbours(v) & x):
@@ -422,12 +430,10 @@ def has_triangle(g: Graph) -> bool:
 
 def earlier_witness_tf(g: Graph, grading: StableGrading, c: int):
     """Triangle-free refinement: returns (X, u, v) where additionally u has
-    no neighbour in X and v has one.  Requires chi(g) >= c + 3."""
+    no neighbour in X and v has one.  Requires chi(g) >= c + 3, which
+    earlier_witness(g, grading, c + 1) checks."""
     if has_triangle(g):
         raise PreconditionError("graph contains a triangle")
-    chi_g, _ = chi_exact(g)
-    if chi_g < c + 3:
-        raise PreconditionError(f"chi(g) = {chi_g} below c + 3 = {c + 3}")
     x_prime, (e1, e2) = earlier_witness(g, grading, c + 1)
     with_nbr = [w for w in (e1, e2) if g.neighbours(w) & x_prime]
     v_prime = min(with_nbr, key=label_key)
@@ -459,7 +465,10 @@ def earlier_witness_tf(g: Graph, grading: StableGrading, c: int):
 
 
 def _audit_earlier_tf(g, grading, c, x, u, v):
-    _audit_earlier(g, grading, c, x, (u, v))
+    _audit_earlier(g, grading, x, (u, v))
+    k, _ = chi_exact(g.induced_subgraph(x))
+    if k < c:
+        raise VerificationError("witness set chromatic number too small")
     if g.neighbours(u) & x:
         raise VerificationError("u has a neighbour in the witness set")
     if not (g.neighbours(v) & x):
@@ -480,22 +489,25 @@ class InductionResult:
     q1: tuple  # odd-length induced path q .. q'
 
 
-def _lex_shortest_path(g: Graph, source, target) -> Optional[list]:
-    """Deterministic shortest path: BFS expanding neighbours in label order."""
+def _lex_shortest_path(g: Graph, source, target, within) -> Optional[list]:
+    """Deterministic shortest path from source to target whose inner
+    vertices lie in within, or None: BFS in g[within + source + target]
+    expanding neighbours in label order.  The path goes through the first
+    dequeued vertex adjacent to target, whatever the label order."""
     if source == target:
         return [source]
     parent = {source: None}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in sorted(g.neighbours(u), key=label_key):
+        if target in g.neighbours(u):
+            path = [target, u]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for w in sorted(g.neighbours(u) & within, key=label_key):
             if w not in parent:
                 parent[w] = u
-                if w == target:
-                    path = [w]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
                 queue.append(w)
     return None
 
@@ -594,7 +606,7 @@ def rope_induction_step(
     if strict:
         _require_chi(g, c_set, induction_threshold(c), "C", "threshold")
 
-    t = _richest_level(g, levels)
+    t, _ = _richest_level(g, levels)
     if t is None:
         raise VerificationError(
             "branch collapse: levelling from q has depth below 5",
@@ -660,8 +672,8 @@ def _induction_branch_near(g, b0, c0, q, c, levels, t, m_set):
     c_prime = frozenset(x)
 
     walkable = m_set | frozenset(m_t)
-    path_u = _lex_shortest_path(g.induced_subgraph(walkable | {u_prime}), q, u_prime)
-    path_q = _lex_shortest_path(g.induced_subgraph(walkable | {q_prime}), q, q_prime)
+    path_u = _lex_shortest_path(g, q, u_prime, walkable)
+    path_q = _lex_shortest_path(g, q, q_prime, walkable)
     if path_u is None or path_q is None:
         raise VerificationError(
             "branch collapse: no level path from q to the connectors",
@@ -724,8 +736,8 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
             "branch collapse: missing cover connector for the grading witnesses",
             detail={"branch": "connectors-through"},
         )
-    base_u = _lex_shortest_path(g.induced_subgraph(m_set | {b_u}), q, b_u)
-    base_q = _lex_shortest_path(g.induced_subgraph(m_set | {b_q}), q, b_q)
+    base_u = _lex_shortest_path(g, q, b_u, m_set)
+    base_q = _lex_shortest_path(g, q, b_q, m_set)
     if base_u is None or base_q is None:
         raise VerificationError(
             "branch collapse: cover connectors unreachable through the levels",
@@ -756,51 +768,34 @@ class BrokenRopeResult:
     rope: BrokenRope
 
 
-def audit_broken_rope(g: Graph, c_set, q1, c: int, res: BrokenRopeResult):
-    """Machine-check the seven output clauses plus the rope clauses.  That
-    B' and C' are nested in the inputs follows from the audit of each
-    induction step, which checks it against that step's inputs."""
-    bp, cp = res.b_prime, res.c_prime
-    rope = res.rope
-    anchors = rope.anchors
-    end = rope.end
-    if anchors[0] != q1:
+def audit_broken_rope(g: Graph, q1, res: BrokenRopeResult):
+    """Machine-check that the rope starts at q1 and is a broken rope.
+
+    The seven output clauses need no check here: the audit of each chained
+    induction step has proved them.  Step k (k = 1..r) turns (B_k, C_k,
+    q_k) into (B'_k, C'_k, q'_k), the inputs of step k + 1, with B_1, C_1
+    and q_1 = q1 the inputs of build_broken_rope, and its two paths form
+    pair k, which ends at anchor q'_k.  Its audit checks B'_k <= B_k,
+    C'_k <= C_k and q'_k in C_k - C'_k, so B' <= B'_k and C' <= C'_k for
+    every k, and each q_k is q1 or lies in C.
+      1-3. g[C' + end] is connected, chi(C') >= c and B' covers C': these
+           are clauses 1-3 of step r, whose target is c.
+      4. B' misses the neighbourhood of pair k outside N^2[q'_k]: B'_k
+         does, by clause 4 of step k, and B' <= B'_k.
+      5. Pair k outside N^2[q'_k] lies in C + q1: clause 5 of step k puts
+         it in C_k + q_k, and C_k + q_k <= C + q1.
+      6. No vertex of C' has a neighbour on the paths but the end: C'_k,
+         hence C', has none on pair k - q'_k, by clause 6 of step k.  For
+         k < r, q'_k is q_(k+1), which lies on pair k + 1 and is not
+         q'_(k+1), since q'_(k+1) is in C_(k+1) = C'_k and q'_k is not; so
+         clause 6 of step k + 1 and C' <= C'_(k+1) cover it.
+      7. Each anchor q_k is at distance >= 5 from C' + end: clause 7 of
+         step k puts it so from C'_k + q'_k, and for k < r the end lies in
+         C_r <= C'_k.
+    """
+    if res.rope.anchors[0] != q1:
         raise VerificationError("rope does not start at q1")
-    if not g.induced_subgraph(cp | {end}).is_connected():
-        raise VerificationError("clause 1: g[C' + end] not connected")
-    k, _ = chi_exact(g.induced_subgraph(cp))
-    if k < c:
-        raise VerificationError(f"clause 2: chi(C') = {k} below {c}")
-    if not covers(g, bp, cp):
-        raise VerificationError("clause 3: B' does not cover C'")
-    all_path_vertices = set()
-    for i, (p1, p2) in enumerate(rope.paths):
-        seg = set(p1) | set(p2)
-        all_path_vertices |= seg
-        outside = seg - g.ball(anchors[i + 1], 2)
-        for b in bp:
-            if g.neighbours(b) & outside:
-                raise VerificationError(
-                    "clause 4: B' touches a path outside N^2[next anchor]",
-                    detail={"pair": i + 1, "vertex": b},
-                )
-        if not outside <= (frozenset(c_set) | {q1}):
-            raise VerificationError(
-                "clause 5: path vertices outside N^2[next anchor] leave C + q1",
-                detail={"pair": i + 1, "extra": outside - (frozenset(c_set) | {q1})},
-            )
-    for w in cp:
-        if g.neighbours(w) & (all_path_vertices - {end}):
-            raise VerificationError(
-                "clause 6: C' touches the rope outside its end", detail={"vertex": w}
-            )
-    for a in anchors[:-1]:
-        dist = g.bfs_distances(a)
-        if min((dist.get(w, 10**9) for w in cp | {end}), default=10**9) < 5:
-            raise VerificationError(
-                "clause 7: an anchor is too close to C' + end", detail={"anchor": a}
-            )
-    verify_rope(g, rope)
+    verify_rope(g, res.rope)
     return True
 
 
@@ -845,7 +840,7 @@ def build_broken_rope(
         anchors=tuple(anchors),
         rope=BrokenRope(anchors=tuple(anchors), paths=tuple(tuple(p) for p in pairs)),
     )
-    audit_broken_rope(g, c_set, q1, c, result)
+    audit_broken_rope(g, q1, result)
     return result
 
 
@@ -968,6 +963,8 @@ def find_rope(
     chain-decomposition recovery when the constructive pipeline collapses
     (desk-scale inputs rarely reach the pipeline's chromatic demands)."""
     x_set = frozenset(x_set)
+    if r < 2:
+        raise PreconditionError("r must be at least 2")
     if odd_girth(g) < 11:
         raise PreconditionError("odd girth below 11")
     if strict:
@@ -1000,12 +997,11 @@ def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> Optional[ArithmeticR
         sub = max((g.induced_subgraph(comp) for comp in comps), key=lambda h: chi_exact(h)[0])
     levelling = bfs_levelling(sub, sub.vertices[0])
     levels = levelling.levels
-    s = _richest_level(g, levels)
+    s, c_comp = _richest_level(g, levels)
     if s is None:
         raise VerificationError(
             "rope pipeline: levelling too shallow", detail={"depth": levelling.depth()}
         )
-    c_comp, _ = _max_chi_component(g, levels[s + 1])
     q1_candidates = sorted(
         (v for v in levels[s] if g.neighbours(v) & c_comp), key=label_key
     )
@@ -1044,7 +1040,7 @@ def _close_broken_rope(g, broken: BrokenRopeResult, levels, s, q1) -> Arithmetic
         raise VerificationError(
             "rope pipeline: far vertex is uncovered", detail={"branch": "closing-b"}
         )
-    p1 = _lex_shortest_path(g.induced_subgraph(broken.c_prime | {end, b}), end, b)
+    p1 = _lex_shortest_path(g, end, b, broken.c_prime)
     if p1 is None or len(p1) - 1 < 4:
         raise VerificationError(
             "rope pipeline: closing path through C' too short or missing",
@@ -1057,7 +1053,7 @@ def _close_broken_rope(g, broken: BrokenRopeResult, levels, s, q1) -> Arithmetic
             "rope pipeline: no hooks into the level below", detail={"branch": "closing-hooks"}
         )
     low = frozenset().union(*levels[: s - 1])
-    p2 = _lex_shortest_path(g.induced_subgraph(low | {a1, a2}), a1, a2)
+    p2 = _lex_shortest_path(g, a1, a2, low)
     if p2 is None:
         raise VerificationError(
             "rope pipeline: hooks not connected through the lower levels",

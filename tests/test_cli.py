@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from tperfect import cli
 from tperfect.corpus import make
 from tperfect.graphio import serialize_graph
+from tperfect.ropes import generate_rope_shell
 
 from conftest import pendant
 
@@ -240,6 +245,31 @@ def test_rope_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "rope", "find", str(gpath), "--r", "2")
     assert code == 0
     assert json.loads(out)["kind"] == "rope"
+
+
+def test_rope_find_needs_two_anchors(capsys, tmp_path):
+    host, _, _ = generate_rope_shell(3, 7, 8)
+    path = tmp_path / "host.json"
+    path.write_text(serialize_graph(host, "json"))
+    for r in ("--r=1", "--r=0", "--r=-3"):
+        code, out, err = run(capsys, "rope", "find", str(path), r)
+        assert code == 2 and out == "" and err == "error: r must be at least 2\n"
+
+
+def test_deeply_wrapped_certificate_verifies(capsys, tmp_path):
+    # in a fresh process, so that the stack starts as shallow as a user's
+    code, out, _ = run(capsys, "certify", "corpus:C5", "--json")
+    assert code == 0
+    inner = json.dumps(json.loads(out)["certificate"])
+    path = tmp_path / "wrapped.json"
+    path.write_text('{"kind": "colouring", "certificate": ' * 980 + inner + "}" * 980)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "tperfect.cli", "verify", "corpus:C5", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "certificate verified\n", "")
 
 
 def test_corpus_commands(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -9,12 +11,13 @@ from tperfect import ropes
 from tperfect.colouring import chi_exact
 from tperfect.corpus import cycle, grotzsch
 from tperfect.errors import PreconditionError, VerificationError
-from tperfect.graphs import Graph, is_cycle_induced, is_path_induced, odd_girth
+from tperfect.graphs import Graph, covers, is_cycle_induced, is_path_induced, label_key, odd_girth
 from tperfect.ropes import (
     ArithmeticRope,
     BrokenRope,
     InductionResult,
     StableGrading,
+    audit_induction_step,
     broken_rope_threshold,
     build_broken_rope,
     earlier_witness,
@@ -29,6 +32,8 @@ from tperfect.ropes import (
     verify_rope,
     _chain,
 )
+
+from conftest import layered_instance
 
 
 def test_threshold_formulas():
@@ -344,3 +349,98 @@ def test_seeded_path_chord_mutations():
         bad = Graph(g.vertices, list(g.edges()) + [(path[a], path[b])])
         with pytest.raises(VerificationError):
             verify_rope(bad, rope)
+
+
+def test_find_rope_needs_two_anchors():
+    host, _, _ = generate_rope_shell(3, 7, 8)
+    for r in (1, 0, -3):
+        with pytest.raises(PreconditionError, match="r must be at least 2"):
+            find_rope(host, frozenset(host.vertices), r, c=0)
+    # checked before the odd-girth precondition
+    with pytest.raises(PreconditionError, match="r must be at least 2"):
+        find_rope(cycle(9), frozenset(range(9)), 1)
+
+
+# sha256 of find_rope(...).to_json(), recorded before the audits were trimmed
+FIND_ROPE_SHA256 = {
+    "layered": "e3dce2efcd89062814f666d243bba10e8aec1eb98f83b9e593a02d10d76c99fc",
+    "shell-3": "8a5a1ff1930a43f6cdd74241073b643d5cb0b85b5a990a63662ca86e359fedb0",
+    "shell-5": "3834fdf85de97789fe066350dce8668698524877d0c9bf0fe23512cde9d72165",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIND_ROPE_SHA256))
+def test_find_rope_output_pinned(case):
+    if case == "layered":
+        g, r = layered_instance()[0], 2
+    else:
+        r = int(case.split("-")[1])
+        g = generate_rope_shell(r, 7, 8)[0]
+    text = find_rope(g, frozenset(g.vertices), r, c=0).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == FIND_ROPE_SHA256[case]
+
+
+def broken_rope_clauses_failing(g, c_set, q1, c, res):
+    """The seven output clauses of build_broken_rope, written out from their
+    definitions; returns the numbers of those that fail.  audit_broken_rope
+    leaves them to the audits of the induction steps."""
+    bp, cp, rope = res.b_prime, res.c_prime, res.rope
+    end = rope.end
+    pairs = [set(p1) | set(p2) for p1, p2 in rope.paths]
+    # each pair away from the anchor it leads to
+    outside = [pair - g.ball(a, 2) for pair, a in zip(pairs, rope.anchors[1:])]
+    before_end = set().union(*pairs) - {end}
+    held = {
+        1: g.induced_subgraph(cp | {end}).is_connected(),
+        2: chi_exact(g.induced_subgraph(cp))[0] >= c,
+        3: covers(g, bp, cp),
+        4: not any(g.neighbours(b) & out for b in bp for out in outside),
+        5: all(out <= frozenset(c_set) | {q1} for out in outside),
+        6: not any(g.neighbours(w) & before_end for w in cp),
+        7: not any(g.ball(a, 4) & (cp | {end}) for a in rope.anchors[:-1]),
+    }
+    return [k for k, ok in held.items() if not ok]
+
+
+@pytest.mark.parametrize("fixture, r", [("layered", 1), ("layered", 2), ("through", 1)])
+def test_broken_rope_clauses_hold(fixture, r):
+    g, b_set, c_set, q1 = layered_instance() if fixture == "layered" else _through_instance()
+    res = build_broken_rope(g, b_set, c_set, q1, r, 0, strict=False)
+    assert res.rope.r == r and res.rope.anchors[0] == q1
+    assert broken_rope_clauses_failing(g, c_set, q1, 0, res) == []
+    # the written-out clauses are not vacuous
+    assert broken_rope_clauses_failing(g, c_set, q1, 99, res) == [2]
+    assert broken_rope_clauses_failing(g, c_set, q1, 0, replace(res, b_prime=frozenset())) == [3]
+    assert 4 in broken_rope_clauses_failing(g, c_set, q1, 0, replace(res, b_prime=res.b_prime | {q1}))
+    assert 5 in broken_rope_clauses_failing(g, frozenset(), q1, 0, res)
+    # a path vertex next to q1 in C' touches the rope and lies near q1
+    near_q1 = replace(res, c_prime=res.c_prime | {res.rope.paths[0][0][1]})
+    assert {6, 7} <= set(broken_rope_clauses_failing(g, c_set, q1, 0, near_q1))
+
+
+def test_audit_induction_step_rejects_tampering(layered):
+    g, b_set, c_set, q = layered
+    res = rope_induction_step(g, b_set, c_set, q, 0, strict=False)
+    assert audit_induction_step(g, b_set, c_set, q, 0, res)
+    # B' reaching outside B, and B' missing the cover of a vertex of C'
+    with pytest.raises(VerificationError, match="not nested"):
+        audit_induction_step(g, b_set, c_set, q, 0, replace(res, b_prime=res.b_prime | {("x", 0, 3)}))
+    w = min(res.c_prime, key=label_key)
+    uncovered = replace(res, b_prime=res.b_prime - g.neighbours(w))
+    with pytest.raises(VerificationError, match="clause 3"):
+        audit_induction_step(g, b_set, c_set, q, 0, uncovered)
+    with pytest.raises(VerificationError, match="clause 8: Q_0 has the wrong parity"):
+        audit_induction_step(g, b_set, c_set, q, 0, replace(res, q0=res.q1, q1=res.q0))
+    # q' two steps from q, through the hub ("w",) that q covers; C' is the
+    # next spoke vertex and B' its cover, so clauses 1-6 hold and the
+    # distance clause is the first to fail
+    hub, q_near, c_near = ("w",), ("s", 0, 1), ("s", 0, 2)
+    near = InductionResult(
+        b_prime=g.neighbours(c_near) & b_set,
+        c_prime=frozenset([c_near]),
+        q_prime=q_near,
+        q0=(q, hub, q_near),
+        q1=(q, hub, q_near),
+    )
+    with pytest.raises(VerificationError, match="clause 7"):
+        audit_induction_step(g, b_set, c_set, q, 0, near)
