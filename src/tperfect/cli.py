@@ -234,15 +234,9 @@ def cmd_oddwheel_witness(args) -> int:
 def cmd_rope_verify(args) -> int:
     from .ropes import verify_rope
 
-    g = load_graph(args.graph, args.format)
-    rope = _parse_rope(_load_json_file(args.ropefile))
-    try:
-        verify_rope(g, rope)
-    except VerificationError as e:
-        _report(f"rope rejected: {e}", e)
-        return EXIT_FAILS
-    print("rope verified")
-    return EXIT_HOLDS
+    return _check_file(
+        args, args.ropefile, "rope", lambda g, data: verify_rope(g, _parse_rope(data))
+    )
 
 
 def cmd_rope_generate(args) -> int:
@@ -291,15 +285,22 @@ def cmd_corpus_emit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    return _check_file(args, args.certfile, "certificate", _verify_dispatch)
+
+
+def _check_file(args, path, noun: str, check) -> int:
+    """Load the graph and the JSON file, run check(graph, data), and report
+    "<noun> verified" (exit 0) or "<noun> rejected: ..." (exit 1).  Every
+    verifier returns True or raises VerificationError."""
     g = load_graph(args.graph, args.format)
-    data = _load_json_file(args.certfile)
+    data = _load_json_file(path)
     try:
-        ok = _verify_dispatch(g, data)
+        check(g, data)
     except VerificationError as e:
-        _report(f"certificate rejected: {e}", e)
+        _report(f"{noun} rejected: {e}", e)
         return EXIT_FAILS
-    print("certificate verified" if ok else "certificate rejected")
-    return EXIT_HOLDS if ok else EXIT_FAILS
+    print(f"{noun} verified")
+    return EXIT_HOLDS
 
 
 def _parse(parser, data):

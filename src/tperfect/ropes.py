@@ -22,6 +22,7 @@ from .colouring import chi_exact
 from .errors import PreconditionError, VerificationError
 from .graphio import decode_label, encode_label
 from .graphs import (
+    COMBINATORIAL_CAP,
     Graph,
     _induced_edge_count,
     bfs_levelling,
@@ -632,10 +633,7 @@ def rope_induction_step(
         frozenset(v for v in c_star if g.neighbours(v) & b_parts[i]) for i in range(3)
     )
 
-    chi_parts = []
-    for part in c_parts:
-        k, _ = chi_exact(g.induced_subgraph(part))
-        chi_parts.append(k)
+    chi_parts = [chi_exact(g.induced_subgraph(part))[0] for part in c_parts]
 
     if chi_parts[0] >= c + 3:
         result = _induction_branch_near(g, b_parts[0], c_parts[0], q, c, levels, t, m_set)
@@ -651,27 +649,45 @@ def rope_induction_step(
     return result
 
 
+def _graded_witness(g, c_set, order, reach, c, collapse: str, branch: str):
+    """Grade C by the first vertex m of order whose reach(m) holds each vertex
+    of C, and return (grading, X, u', q'), the grading with the
+    triangle-free earlier witness of g[C] under it.  A vertex of C that no
+    reach(m) holds collapses the branch."""
+    assigned, parts = set(), []
+    for m in order:
+        part = (reach(m) & c_set) - assigned
+        assigned |= part
+        parts.append(part)
+    if assigned != c_set:
+        raise VerificationError(f"branch collapse: {collapse}", detail={"branch": branch})
+    grading = StableGrading(parts=tuple(parts))
+    return (grading, *earlier_witness_tf(g.induced_subgraph(c_set), grading, c))
+
+
+def _induction_result(b_prime, c_prime, q_prime, path, other) -> InductionResult:
+    """The step's result, with the two q-q' paths ordered by parity as
+    (Q_0 even, Q_1 odd)."""
+    even, odd = (path, other) if len(path) % 2 == 1 else (other, path)
+    return InductionResult(
+        b_prime=b_prime, c_prime=c_prime, q_prime=q_prime, q0=tuple(even), q1=tuple(odd)
+    )
+
+
 def _induction_branch_near(g, b0, c0, q, c, levels, t, m_set):
     """Case chi(C_0) >= c + 3: grade C_0 by first adjacency into M_t and walk
     two level-respecting paths down to q."""
     m_t = sorted(levels[t], key=label_key)
-    assigned = set()
-    parts = []
-    for m in m_t:
-        w = frozenset(v for v in c0 - assigned if g.has_edge(v, m))
-        assigned |= w
-        parts.append(w)
-    if assigned != set(c0):
-        raise VerificationError(
-            "branch collapse: far vertices without adjacency into the last level",
-            detail={"branch": "grading-near"},
-        )
-    sub = g.induced_subgraph(c0)
-    grading = StableGrading(parts=tuple(parts))
-    x, u_prime, q_prime = earlier_witness_tf(sub, grading, c)
-    c_prime = frozenset(x)
-
-    walkable = m_set | frozenset(m_t)
+    _, c_prime, u_prime, q_prime = _graded_witness(
+        g,
+        c0,
+        m_t,
+        g.neighbours,
+        c,
+        "far vertices without adjacency into the last level",
+        "grading-near",
+    )
+    walkable = m_set | levels[t]
     path_u = _lex_shortest_path(g, q, u_prime, walkable)
     path_q = _lex_shortest_path(g, q, q_prime, walkable)
     if path_u is None or path_q is None:
@@ -679,11 +695,7 @@ def _induction_branch_near(g, b0, c0, q, c, levels, t, m_set):
             "branch collapse: no level path from q to the connectors",
             detail={"branch": "paths-near"},
         )
-    long_path = path_u + [q_prime]
-    even, odd = (path_q, long_path) if (len(path_q) - 1) % 2 == 0 else (long_path, path_q)
-    return InductionResult(
-        b_prime=b0, c_prime=c_prime, q_prime=q_prime, q0=tuple(even), q1=tuple(odd)
-    )
+    return _induction_result(b0, c_prime, q_prime, path_q, path_u + [q_prime])
 
 
 def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
@@ -692,45 +704,25 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
     paths through cover vertices b_{u'}, b_{q'}.  The vertices of M are
     ordered by their distance from q within M, which is their level."""
     order = sorted(m_set, key=lambda v: (level[v], label_key(v)))
-    parts = []
-    assigned = set()
-    for m in order:
-        bs = frozenset(v for v in b_h if g.has_edge(v, m))
-        w = frozenset(
-            v
-            for v in c_h - assigned
-            if any(g.has_edge(v, b) for b in bs)
-        )
-        assigned |= w
-        parts.append(w)
-    if assigned != set(c_h):
-        raise VerificationError(
-            "branch collapse: far vertices unreachable through the cover",
-            detail={"branch": "grading-through"},
-        )
-    sub = g.induced_subgraph(c_h)
-    grading = StableGrading(parts=tuple(parts))
-    x, u_prime, q_prime = earlier_witness_tf(sub, grading, c)
-    c_prime = frozenset(x)
-
+    grading, c_prime, u_prime, q_prime = _graded_witness(
+        g,
+        c_h,
+        order,
+        lambda m: frozenset().union(*map(g.neighbours, g.neighbours(m) & b_h)),
+        c,
+        "far vertices unreachable through the cover",
+        "grading-through",
+    )
     idx = grading.index()
     i_u, i_q = idx[u_prime], idx[q_prime]
-    k = max(i_u, i_q)
-    head = set(order[: k + 1])
-    b_prime = frozenset(
-        v for v in b_h if not any(g.has_edge(v, m) for m in head)
-    )
+    head = set(order[: max(i_u, i_q) + 1])
+    b_prime = frozenset(v for v in b_h if not g.neighbours(v) & head)
     pool = b_h - b_prime
-    b_u = min(
-        (v for v in pool if g.has_edge(v, order[i_u]) and g.has_edge(v, u_prime)),
-        key=label_key,
-        default=None,
-    )
-    b_q = min(
-        (v for v in pool if g.has_edge(v, order[i_q]) and g.has_edge(v, q_prime)),
-        key=label_key,
-        default=None,
-    )
+
+    def connector(i, w):  # the least vertex of the pool joining order[i] to w
+        return min(pool & g.neighbours(order[i]) & g.neighbours(w), key=label_key, default=None)
+
+    b_u, b_q = connector(i_u, u_prime), connector(i_q, q_prime)
     if b_u is None or b_q is None:
         raise VerificationError(
             "branch collapse: missing cover connector for the grading witnesses",
@@ -743,15 +735,8 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
             "branch collapse: cover connectors unreachable through the levels",
             detail={"branch": "paths-through"},
         )
-    path_via_u = base_u + [u_prime, q_prime]
-    path_via_q = base_q + [q_prime]
-    even, odd = (
-        (path_via_q, path_via_u)
-        if (len(path_via_q) - 1) % 2 == 0
-        else (path_via_u, path_via_q)
-    )
-    return InductionResult(
-        b_prime=b_prime, c_prime=c_prime, q_prime=q_prime, q0=tuple(even), q1=tuple(odd)
+    return _induction_result(
+        b_prime, c_prime, q_prime, base_q + [q_prime], base_u + [u_prime, q_prime]
     )
 
 
@@ -764,7 +749,6 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
 class BrokenRopeResult:
     b_prime: frozenset
     c_prime: frozenset
-    anchors: tuple
     rope: BrokenRope
 
 
@@ -837,7 +821,6 @@ def build_broken_rope(
     result = BrokenRopeResult(
         b_prime=b_cur,
         c_prime=c_cur,
-        anchors=tuple(anchors),
         rope=BrokenRope(anchors=tuple(anchors), paths=tuple(tuple(p) for p in pairs)),
     )
     audit_broken_rope(g, q1, result)
@@ -845,105 +828,57 @@ def build_broken_rope(
 
 
 def _rope_from_chains(g: Graph, x_set) -> Optional[ArithmeticRope]:
-    """Fallback recovery: decompose g[X] into maximal chains between branch
-    vertices and reassemble a rope when the chains form parallel odd/even
-    pairs around a single anchor cycle."""
+    """Fallback recovery: split g[X] into chains, the paths between vertices
+    of degree >= 3 whose inner vertices have degree 2, and reassemble a rope
+    from them, or return None.
+
+    Each chain is walked from both ends and kept from the end earlier in
+    label order (a chain from a vertex back to itself, from its earlier
+    first edge).  Two ends joined by exactly one odd and one even chain give
+    one pair; when every chain has the same two ends, two odd and two even
+    chains give two pairs, the cycle of a 2-rope.  Other chains are ignored.
+    The pairs must form one cycle in which each anchor ends exactly two of
+    them.  It is walked from its least anchor, taking at each anchor its
+    pair of least number not yet taken, and the rope must pass verify_rope.
+    """
     sub = g.induced_subgraph(x_set)
-    branch = [v for v in sub.vertices if sub.degree(v) >= 3]
-    if len(branch) < 2:
-        return None
-    branch_set = set(branch)
-    chains = []
-    seen_edges = set()
-    for a in branch:
-        for w in sorted(sub.neighbours(a), key=label_key):
-            if (a, w) in seen_edges:
-                continue
-            path = [a, w]
-            seen_edges.add((a, w))
-            seen_edges.add((w, a))
-            while path[-1] not in branch_set:
-                nxt = [
-                    u
-                    for u in sub.neighbours(path[-1])
-                    if u != path[-2]
-                ]
-                if len(nxt) != 1:
-                    break
-                seen_edges.add((path[-1], nxt[0]))
-                seen_edges.add((nxt[0], path[-1]))
-                path.append(nxt[0])
-            if path[-1] in branch_set:
-                chains.append(path)
     by_ends = {}
-    for chain in chains:
-        key = tuple(sorted((chain[0], chain[-1]), key=label_key))
-        if chain[0] != key[0]:
-            chain = chain[::-1]
-        by_ends.setdefault(key, [])
-        if chain not in by_ends[key]:
-            by_ends[key].append(chain)
-    # keep only endpoint pairs with exactly one odd and one even chain
-    pair_edges = {}
-    for key, lst in by_ends.items():
-        odd = [ch for ch in lst if (len(ch) - 1) % 2 == 1]
-        even = [ch for ch in lst if (len(ch) - 1) % 2 == 0]
-        if len(odd) == 1 and len(even) == 1:
-            pair_edges[key] = (odd[0], even[0])
-    # two-anchor special case: both pairs run between the same endpoints
-    if len(by_ends) == 1 and not pair_edges:
-        (key, lst), = by_ends.items()
-        odd = [ch for ch in lst if (len(ch) - 1) % 2 == 1]
-        even = [ch for ch in lst if (len(ch) - 1) % 2 == 0]
-        if len(odd) == 2 and len(even) == 2:
-            a, b = key
-            back_odd, back_even = odd[1][::-1], even[1][::-1]
-            rope = ArithmeticRope(
-                anchors=(a, b),
-                paths=((odd[0], even[0]), (back_odd, back_even)),
-            )
-            try:
-                verify_rope(g, rope)
-            except VerificationError:
-                return None
-            return rope
-    # the anchor cycle: every branch vertex must meet exactly two pairs
-    incidence = {b: [] for b in branch}
-    for a, b in pair_edges:
-        incidence[a].append((a, b))
-        incidence[b].append((a, b))
-    anchors_cycle = [b for b in branch if len(incidence.get(b, [])) == 2]
-    if len(anchors_cycle) < 2 or len(anchors_cycle) != len(pair_edges):
+    for a in sub.vertices:
+        if sub.degree(a) < 3:
+            continue
+        for w in sorted(sub.neighbours(a), key=label_key):
+            chain = [a, w]
+            while sub.degree(chain[-1]) == 2:
+                (nxt,) = sub.neighbours(chain[-1]) - {chain[-2]}
+                chain.append(nxt)
+            b = chain[-1]
+            first = (label_key(a), label_key(w)) < (label_key(b), label_key(chain[-2]))
+            if sub.degree(b) >= 3 and first:
+                by_ends.setdefault((a, b), []).append(chain)
+    per_ends = 2 if len(by_ends) == 1 else 1
+    pairs, incidence = [], {}
+    for (a, b), chains in by_ends.items():
+        odd = [ch for ch in chains if len(ch) % 2 == 0]
+        even = [ch for ch in chains if len(ch) % 2 == 1]
+        if len(odd) == len(even) == per_ends:
+            for pair in zip(odd, even):
+                incidence.setdefault(a, []).append(len(pairs))
+                incidence.setdefault(b, []).append(len(pairs))
+                pairs.append(pair)
+    if len(pairs) < 2 or any(len(ids) != 2 for ids in incidence.values()):
         return None
-    start = anchors_cycle[0]
-    order = [start]
-    prev_edge = None
-    while True:
-        cur = order[-1]
-        options = [e for e in incidence[cur] if e != prev_edge]
-        if not options:
+    order, taken = [min(incidence, key=label_key)], []
+    for _ in pairs:
+        i = next((i for i in incidence[order[-1]] if i not in taken), None)
+        if i is None:  # the cycle closed before taking every pair
             return None
-        edge = options[0]
-        nxt = edge[1] if edge[0] == cur else edge[0]
-        prev_edge = edge
-        if nxt == start:
-            break
-        if nxt in order:
-            return None
-        order.append(nxt)
-    if len(order) != len(pair_edges):
-        return None
-    paths = []
-    for i, a in enumerate(order):
-        b = order[(i + 1) % len(order)]
-        key = tuple(sorted((a, b), key=label_key))
-        odd, even = pair_edges[key]
-        if odd[0] != a:
-            odd = odd[::-1]
-        if even[0] != a:
-            even = even[::-1]
-        paths.append((odd, even))
-    rope = ArithmeticRope(anchors=tuple(order), paths=tuple(paths))
+        taken.append(i)
+        a, b = pairs[i][0][0], pairs[i][0][-1]
+        order.append(b if order[-1] == a else a)
+    paths = tuple(
+        tuple(ch if ch[0] == a else ch[::-1] for ch in pairs[i]) for a, i in zip(order, taken)
+    )
+    rope = ArithmeticRope(anchors=tuple(order[:-1]), paths=paths)
     try:
         verify_rope(g, rope)
     except VerificationError:
@@ -969,11 +904,8 @@ def find_rope(
         raise PreconditionError("odd girth below 11")
     if strict:
         _require_chi(g, x_set, finder_threshold(r), "X", "finder threshold")
-    failure_report = None
     try:
-        rope = _find_rope_pipeline(g, x_set, r, c)
-        if rope is not None:
-            return rope
+        return _find_rope_pipeline(g, x_set, r, c)
     except (VerificationError, PreconditionError) as e:
         failure_report = getattr(e, "detail", None) or str(e)
     rope = _rope_from_chains(g, x_set)
@@ -985,16 +917,17 @@ def find_rope(
     )
 
 
-def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> Optional[ArithmeticRope]:
-    """Level the component of g[X] with the largest chromatic number from
-    its least vertex; a tie goes to the component with the smallest least
-    vertex."""
+def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> ArithmeticRope:
+    """Level one component of g[X] from its least vertex: the only one, else
+    the first (by least vertex) with more than COMBINATORIAL_CAP vertices,
+    which chi_exact would refuse, else the one _max_chi_component picks."""
     if not x_set:
         raise VerificationError("rope pipeline: X is empty")
     sub = g.induced_subgraph(x_set)
     comps = sub.connected_components()
     if len(comps) > 1:
-        sub = max((g.induced_subgraph(comp) for comp in comps), key=lambda h: chi_exact(h)[0])
+        big = next((comp for comp in comps if len(comp) > COMBINATORIAL_CAP), None)
+        sub = g.induced_subgraph(big or _max_chi_component(g, x_set)[0])
     levelling = bfs_levelling(sub, sub.vertices[0])
     levels = levelling.levels
     s, c_comp = _richest_level(g, levels)
@@ -1002,12 +935,9 @@ def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> Optional[ArithmeticR
         raise VerificationError(
             "rope pipeline: levelling too shallow", detail={"depth": levelling.depth()}
         )
-    q1_candidates = sorted(
-        (v for v in levels[s] if g.neighbours(v) & c_comp), key=label_key
-    )
-    if not q1_candidates:
+    q1 = min((v for v in levels[s] if g.neighbours(v) & c_comp), key=label_key, default=None)
+    if q1 is None:
         raise VerificationError("rope pipeline: no connector into the deep level")
-    q1 = q1_candidates[0]
     b_level = frozenset(levels[s])
     c_level = frozenset(c_comp)
     broken = build_broken_rope(g, b_level, c_level, q1, r, c, strict=False)

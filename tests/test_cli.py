@@ -10,9 +10,10 @@ import pytest
 from tperfect import cli
 from tperfect.corpus import make
 from tperfect.graphio import serialize_graph
+from tperfect.graphs import Graph
 from tperfect.ropes import generate_rope_shell
 
-from conftest import pendant
+from conftest import layered_instance, pendant
 
 
 def run(capsys, *argv):
@@ -254,6 +255,22 @@ def test_rope_find_needs_two_anchors(capsys, tmp_path):
     for r in ("--r=1", "--r=0", "--r=-3"):
         code, out, err = run(capsys, "rope", "find", str(path), r)
         assert code == 2 and out == "" and err == "error: r must be at least 2\n"
+
+
+def test_rope_find_in_disconnected_graph_beyond_cap(capsys, tmp_path):
+    # two copies of the 1456-vertex layered graph: each component is above
+    # the chi_exact cap, so the first is levelled without being coloured
+    g = layered_instance()[0]
+    copy = {v: ("B", v) for v in g.vertices}
+    two = Graph(
+        [*g.vertices, *copy.values()], [*g.edges(), *[(copy[u], copy[v]) for u, v in g.edges()]]
+    )
+    outputs = []
+    for name, host in (("one", g), ("two", two)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_graph(host, "json"))
+        outputs.append(run(capsys, "rope", "find", str(path), "--r", "2"))
+    assert outputs[1] == outputs[0] and outputs[0][0] == 0 and outputs[0][2] == ""
 
 
 def test_deeply_wrapped_certificate_verifies(capsys, tmp_path):

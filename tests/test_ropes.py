@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tperfect import ropes
+from tperfect.cli import _jsonable
 from tperfect.colouring import chi_exact
 from tperfect.corpus import cycle, grotzsch
-from tperfect.errors import PreconditionError, VerificationError
+from tperfect.errors import PreconditionError, TPerfectError, VerificationError
 from tperfect.graphs import Graph, covers, is_cycle_induced, is_path_induced, label_key, odd_girth
 from tperfect.ropes import (
     ArithmeticRope,
@@ -378,6 +380,40 @@ def test_find_rope_output_pinned(case):
         g = generate_rope_shell(r, 7, 8)[0]
     text = find_rope(g, frozenset(g.vertices), r, c=0).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == FIND_ROPE_SHA256[case]
+
+
+def _edited_hosts(host, rng, k):
+    """k copies of host with one chord added, k with one vertex deleted and
+    k with one pendant vertex added."""
+    vs = list(host.vertices)
+    out = []
+    for _ in range(k):
+        u, v = rng.sample(vs, 2)
+        while host.has_edge(u, v):
+            u, v = rng.sample(vs, 2)
+        out.append(Graph(vs, [*host.edges(), (u, v)]))
+    out += [host.delete_vertices([rng.choice(vs)]) for _ in range(k)]
+    out += [Graph([*vs, ("x",)], [*host.edges(), (rng.choice(vs), ("x",))]) for _ in range(k)]
+    return out
+
+
+def test_find_rope_batch_output_pinned():
+    """One sha256 over find_rope on generated and shell hosts for r = 2..7
+    and seeded edits of them: the rope JSON, or the error as the CLI reports
+    it when no rope is found.  Recorded before the chain recovery was
+    rewritten; it covers the two-anchor recovery and the no-rope paths."""
+    rng = random.Random(14)
+    digest = hashlib.sha256()
+    for r in range(2, 8):
+        for host in (generate_rope(r, 7, 8)[0], generate_rope_shell(r, 7, 8)[0]):
+            for g in (host, *_edited_hosts(host, rng, 4)):
+                try:
+                    text = find_rope(g, frozenset(g.vertices), r, c=0).to_json()
+                except TPerfectError as e:
+                    detail = json.dumps(_jsonable(getattr(e, "detail", None)), sort_keys=True)
+                    text = f"{type(e).__name__}: {e} {detail}"
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == "db2ec5ccb291683070024162b19a140ca6a10786127f48a9abae269c99e6e3c6"
 
 
 def broken_rope_clauses_failing(g, c_set, q1, c, res):
