@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _budget(text: str) -> int:
+    """A --budget value: a non-negative int, else a usage error."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def load_graph(spec: str, fmt: str | None = None) -> Graph:
     if spec.startswith("corpus:"):
         return corpus.make(spec)
@@ -431,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oddwheel-witness", help="search for an odd wheel t-minor")
     _add_graph_arg(p)
     p.add_argument("--json", action="store_true", help="emit the replayable trace")
-    p.add_argument("--budget", type=int, default=4000)
+    p.add_argument("--budget", type=_budget, default=4000)
     p.set_defaults(func=cmd_oddwheel_witness)
 
     p = sub.add_parser("rope", help="arithmetic rope operations")

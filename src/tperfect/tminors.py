@@ -11,14 +11,15 @@ be replayed and audited independently.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import combinations
 from typing import Optional
 
 from .errors import PreconditionError, UnknownVertexError, VerificationError
-from .graphs import Graph, is_cycle_induced, is_stable, label_key, odd_girth, two_colouring
+from .graphs import Graph, is_cycle_induced, is_stable, label_key, odd_girth
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,10 @@ class TraceBuilder:
             )
         merged = nbrs | {v}
         rep = min(merged, key=label_key)
-        adj = _child_adj(g._adj, "tcontract", v, rep)
-        self.graph = Graph(adj, [(u, w) for u, ws in adj.items() for w in ws])
+        outside = [u for u in g.vertices if u not in merged]
+        edges = [e for e in g.edges() if merged.isdisjoint(e)]
+        edges += [(rep, u) for u in outside if not merged.isdisjoint(g.neighbours(u))]
+        self.graph = Graph(outside + [rep], edges)
         self.classes[rep] = frozenset().union(*(self.classes.pop(u) for u in merged))
         self.steps.append(TMinorStep("tcontract", v))
 
@@ -335,15 +338,43 @@ def _hub_structure(g: Graph):
     return None
 
 
-def wl_key(adj: dict) -> bytes:
+def _bits(mask: int) -> list:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _WLKey:
     """Two rounds of Weisfeiler-Lehman colour refinement on degree labels,
-    as a 16-byte digest of the adjacency map ``adj`` (vertex -> set of
-    neighbours).  Isomorphic graphs get equal keys.
+    as a 16-byte digest.  A graph is given as ``nb``, a list of neighbour
+    bitmasks indexed by vertex (0 for vertices that are gone), and ``vs``,
+    the indices of its vertices.  Isomorphic graphs get equal keys.  Labels
+    are interned per instance, so only keys from one instance compare.
 
     With s1(v) = str(deg v) followed by the sorted strings str(deg w) over
-    the neighbours w of v, and s2(v) = (s1(v), sorted s1 over N(v)), the key
-    is the blake2b digest of the sorted counts of s2.  They fix the counts
-    of s1 as well, since s1(v) is the first part of s2(v).
+    the neighbours w of v, and s2(v) = (s1(v), sorted s1 over N(v)), two
+    graphs get equal keys iff their counts of s2 agree, up to collisions of
+    128-bit blake2b digests.  Those counts fix the counts of s1 as well,
+    since s1(v) is the first part of s2(v).  So the key splits graphs
+    exactly as a digest of the repr of the sorted s2 counts does, which was
+    the key of earlier versions.
+
+    The key is the digest of the sorted ids of s2 over the vertices.  The
+    dict ``s1`` numbers s1 strings in order of first sight, and ``s2``
+    numbers tuples: the id of s1(v) followed by the sorted ids of s1 over
+    N(v).  s1 ids are in bijection with s1 strings, since they are looked
+    up by the string itself.  ``memo`` maps the sorted neighbour degrees of
+    v (their number is deg v) to an id only to skip rebuilding a known
+    string; degree lists that give one string (neighbour degrees 1, 12 and
+    2, 11 both give "2112" after the own degree) share that string's id.
+    So a sorted tuple of s1 ids stands for exactly one multiset of s1
+    strings, and s2 ids are in bijection with s2 values.  The sorted s2 ids
+    over V are then the counts of s2 written out, and their fixed-width
+    bytes tell different lists apart.
 
     Two graphs get equal keys iff networkx >= 3.5 gives them equal
     ``weisfeiler_lehman_graph_hash`` values (default 3 iterations, no
@@ -360,46 +391,117 @@ def wl_key(adj: dict) -> bytes:
     Both runs of counts sum to n, so the repr splits back into the two
     counters, which are the counters of s1 and s2 renamed by the bijections.
     So the nx hash fixes the counts of s2 and is fixed by them, and so is
-    the key, a digest of their repr.
+    the key.
     """
-    deg = {v: str(len(ns)) for v, ns in adj.items()}
-    s1 = {v: deg[v] + "".join(sorted(map(deg.__getitem__, ns))) for v, ns in adj.items()}
-    s2 = Counter((s1[v], tuple(sorted(map(s1.__getitem__, ns)))) for v, ns in adj.items())
-    text = repr(sorted(s2.items()))
-    return blake2b(text.encode(), digest_size=16).digest()
+
+    __slots__ = ("s1", "s2", "memo")
+
+    def __init__(self):
+        self.s1 = {}  # s1 string -> id
+        self.s2 = {}  # (s1 id, *sorted s1 ids over the neighbours) -> id
+        self.memo = {}  # sorted neighbour degrees -> s1 id
+
+    def __call__(self, nb: list, vs: list) -> bytes:
+        memo, s1, s2 = self.memo, self.s1, self.s2
+        ns = [_bits(nb[v]) for v in vs]
+        deg = [m.bit_count() for m in nb]
+        id1 = [0] * len(nb)
+        for v, ws in zip(vs, ns):
+            degs = tuple(sorted([deg[w] for w in ws]))
+            i = memo.get(degs)
+            if i is None:
+                text = str(len(degs)) + "".join(sorted(map(str, degs)))
+                i = memo[degs] = s1.setdefault(text, len(s1))
+            id1[v] = i
+        ids = [
+            s2.setdefault((id1[v], *sorted([id1[w] for w in ws])), len(s2))
+            for v, ws in zip(vs, ns)
+        ]
+        ids.sort()
+        return blake2b(array("I", ids).tobytes(), digest_size=16).digest()
 
 
-# the vertex that a t-contraction child's merged class becomes in the search
-_MERGED = object()
+def _has_odd_cycle(nb: list, alive: int) -> bool:
+    """Whether the graph of the bitmasks nb on the vertex set alive has an
+    odd cycle: a breadth-first search from the least vertex of each
+    component finds an edge inside one distance level iff it does."""
+    rest = alive
+    while rest:
+        level = seen = rest & -rest
+        while level:
+            reached = 0
+            for u in _bits(level):
+                if nb[u] & level:
+                    return True
+                reached |= nb[u]
+            level = reached & ~seen
+            seen |= level
+        rest &= ~seen
+    return False
 
 
-def _child_adj(adj: dict, kind: str, v, rep) -> dict:
-    """The adjacency map after one step at v: "delete" drops v, "tcontract"
-    merges N[v] into the vertex ``rep``.  TraceBuilder.tcontract passes the
-    smallest member of N[v]; the search passes the placeholder _MERGED."""
+def _child(nb: list, alive: int, kind: str, v: int):
+    """The neighbour masks and alive mask after one step at v, or None for
+    a contraction whose neighbourhood is not stable.  A contraction merges
+    N[v] into its least index."""
+    child = nb[:]
+    ns = nb[v]
     if kind == "delete":
-        ns = adj[v]
-        return {u: us - {v} if u in ns else us for u, us in adj.items() if u != v}
-    merged = adj[v] | {v}
-    child = {
-        u: us if us.isdisjoint(merged) else (us - merged) | {rep}
-        for u, us in adj.items()
-        if u not in merged
-    }
-    child[rep] = frozenset(u for u, us in child.items() if rep in us)
-    return child
+        for u in _bits(ns):
+            child[u] = nb[u] ^ (1 << v)
+        child[v] = 0
+        return child, alive ^ (1 << v)
+    outside = 0
+    for u in _bits(ns):
+        if nb[u] & ns:
+            return None
+        outside |= nb[u]
+    merged = ns | (1 << v)
+    outside &= ~merged
+    for u in _bits(merged):
+        child[u] = 0
+    low = merged & -merged
+    for u in _bits(outside):
+        child[u] = (nb[u] & ~merged) | low
+    child[low.bit_length() - 1] = outside
+    return child, (alive & ~merged) | low
 
 
 def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitness]:
     """Budgeted search for a replayable trace ending in an odd wheel.
 
-    Absence of a result is not a proof of non-existence.  Bipartite graphs
-    are rejected immediately (all their deletions and contractions stay
-    bipartite, so no odd wheel can appear).  The search prunes on wl_key,
-    not on networkx's WL hash, so its answers do not depend on the installed
-    networkx: before 3.5 that hash ran one more round, pruned differently
-    and could give another witness.
+    Absence of a result is not a proof of non-existence: the search expands
+    at most ``budget`` traces, and a negative budget is refused with
+    PreconditionError.  Bipartite graphs are rejected immediately (all
+    their deletions and contractions stay bipartite, so no odd wheel can
+    appear).  The search prunes on _WLKey, not on networkx's WL hash, so its
+    answers do not depend on the installed networkx: before 3.5 that hash
+    ran one more round, pruned differently and could give another witness.
+
+    It is breadth-first over traces, memoized on _WLKey (collisions only
+    lose completeness: every hit is re-verified).  Vertices are indexed in
+    label order, and a graph of the search is a list of neighbour bitmasks
+    plus a mask of the vertices alive.  A contraction keeps the least index
+    of the merged class, as TraceBuilder.tcontract keeps its least label.
+    So after the same steps the alive indices are the vertices of the
+    replayed graph, and the children of a trace come in the order of its
+    vertices.  The queue holds each trace's steps next to its masks packed
+    into one int, so a popped trace is unpacked, never replayed.  A child is
+    replayed through TraceBuilder only when it may be an odd wheel: an even
+    number n >= 4 of vertices, one of degree n - 1.  That replay builds the
+    witness, and verify_odd_wheel_witness checks it.
+
+    One _WLKey serves the whole search, and its interned labels split
+    graphs exactly as the string labels of earlier versions did.  Each s1
+    id is looked up by its s1 string, so ids and strings are in bijection.
+    Each s2 id is looked up by the s1 ids that stand for s2(v), so s2 ids
+    and s2 values are in bijection too.  The sorted s2 ids of a graph are
+    then its s2 counts written out (the full argument is in _WLKey).
+    Besides the 16-byte keys, the search keeps only its queue: per trace,
+    the steps and one packed int.
     """
+    if budget < 0:
+        raise PreconditionError(f"budget must be non-negative, got {budget}")
     if g.bipartition() is not None:
         return None
     w = _empty_trace_witness(g)
@@ -410,40 +512,48 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
         cycle, v = hub
         return extract_wheel_from_hub(g, cycle, v)
 
-    # exhaustive breadth-first search over traces, memoized on wl_key
-    # (collisions only lose completeness: every hit is re-verified).  The
-    # queue holds step tuples; each popped trace is replayed once.  Its
-    # children are adjacency maps, and a child is replayed only when it may
-    # be an odd wheel: an even number n >= 4 of vertices, one of degree
-    # n - 1.  Those tests ignore labels, so the merged placeholder is safe.
-    seen = {wl_key(g._adj)}
-    queue = deque([tuple()])
+    size = g.n
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nb = [sum(1 << index[w] for w in g.neighbours(v)) for v in g.vertices]
+    # a graph packs into one int: the alive mask in the lowest size bits,
+    # then the neighbour mask of each index in turn
+    shifts = range(size, size * (size + 1), size)
+    full = (1 << size) - 1
+    # one step object per move, shared by every trace that makes it
+    moves = [(TMinorStep("tcontract", v), TMinorStep("delete", v)) for v in g.vertices]
+    keys = _WLKey()
+    seen = {keys(nb, list(range(size)))}
+    queue = deque([((), full | sum(m << s for m, s in zip(nb, shifts)))])
     expanded = 0
     while queue and expanded < budget:
-        steps = queue.popleft()
-        h = _replayed(g, steps).graph
+        steps, packed = queue.popleft()
+        alive = packed & full
+        nb = [(packed >> s) & full for s in shifts]
         expanded += 1
-        for v in h.vertices:
-            for kind in ("tcontract", "delete"):
-                if kind == "tcontract" and not is_stable(h, h.neighbours(v)):
+        vs = _bits(alive)
+        for v in vs:
+            for move in moves[v]:
+                made = _child(nb, alive, move.kind, v)
+                if made is None:
                     continue
-                adj = _child_adj(h._adj, kind, v, _MERGED)
-                n = len(adj)
-                if n < 4 or two_colouring(adj, adj) is not None:
+                child, child_alive = made
+                n = child_alive.bit_count()
+                if n < 4 or not _has_odd_cycle(child, child_alive):
                     continue
-                child_steps = steps + (TMinorStep(kind, v),)
-                if n % 2 == 0 and any(len(ns) == n - 1 for ns in adj.values()):
-                    child = _replayed(g, child_steps)
-                    decomposition = is_odd_wheel(child.graph)
+                child_steps = steps + (move,)
+                if n % 2 == 0 and n - 1 in map(int.bit_count, child):
+                    replayed = _replayed(g, child_steps)
+                    decomposition = is_odd_wheel(replayed.graph)
                     if decomposition is not None:
                         hub_v, rim = decomposition
                         witness = OddWheelWitness(
-                            trace=child.trace(), hub=hub_v, rim=tuple(rim)
+                            trace=replayed.trace(), hub=hub_v, rim=tuple(rim)
                         )
                         verify_odd_wheel_witness(witness)
                         return witness
-                key = wl_key(adj)
+                key = keys(child, [u for u in vs if child_alive >> u & 1])
                 if key not in seen:
                     seen.add(key)
-                    queue.append(child_steps)
+                    packed = child_alive | sum(m << s for m, s in zip(child, shifts))
+                    queue.append((child_steps, packed))
     return None

@@ -413,3 +413,14 @@ def test_malformed_certificates_are_usage_errors(capsys, tmp_path, command, make
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_oddwheel_witness_rejects_negative_budget(capsys):
+    # a negative budget is a usage error (64), not "no witness" (1)
+    for budget in ("--budget=-3", "--budget=ten"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oddwheel-witness", "corpus:moebius8", budget])
+        assert exc.value.code == 64
+        assert "budget" in capsys.readouterr().err
+    code, out, _ = run(capsys, "oddwheel-witness", "corpus:moebius8", "--budget=0")
+    assert code == 1 and out.strip() == "none"

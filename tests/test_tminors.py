@@ -18,6 +18,7 @@ from tperfect.tminors import (
     OddWheelWitness,
     TMinorTrace,
     TraceBuilder,
+    _WLKey,
     connected_bipartite_containing,
     extract_wheel_from_hub,
     find_odd_wheel_tminor,
@@ -25,10 +26,9 @@ from tperfect.tminors import (
     replay,
     t_contract,
     verify_odd_wheel_witness,
-    wl_key,
 )
 
-from conftest import pendant
+from conftest import pendant, random_graph
 
 
 def hub_instance(n, positions):
@@ -230,6 +230,8 @@ def test_find_odd_wheel_tminor():
     w = find_odd_wheel_tminor(g)
     assert w is not None and verify_odd_wheel_witness(w)
     assert find_odd_wheel_tminor(cycle(11)) is None
+    with pytest.raises(PreconditionError, match="budget"):
+        find_odd_wheel_tminor(make("moebius8"), budget=-3)
 
 
 def test_tminor_closure_property():
@@ -279,8 +281,16 @@ def _nx_hash(g):
         return nx.weisfeiler_lehman_graph_hash(g.to_networkx())
 
 
+# one instance for every test, as one serves a whole search: its interned
+# labels only compare within the instance
+_KEYS = _WLKey()
+
+
 def _key(g):
-    return wl_key({v: g.neighbours(v) for v in g.vertices})
+    """The key the odd-wheel search gives g, as bitmasks over label order."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nb = [sum(1 << index[w] for w in g.neighbours(v)) for v in g.vertices]
+    return _KEYS(nb, list(range(g.n)))
 
 
 @st.composite
@@ -355,3 +365,56 @@ def test_wl_key_agrees_with_networkx_on_hard_pairs():
         assert (_key(x) == _key(y)) == (_nx_hash(x) == _nx_hash(y))
     assert _key(cycle(6)) == _key(two_triangles) and _key(cycle(6)) != _key(cycle(7))
     assert _key(one_round_a) != _key(one_round_b)
+
+
+@st.composite
+def hub_graphs(draw):
+    """A graph on 12-16 vertices whose vertex 0 sees ten or more others, so
+    degrees of two digits occur, plus up to six edges among the rest."""
+    n = draw(st.integers(12, 16))
+    spokes = draw(st.lists(st.integers(1, n - 1), min_size=10, unique=True))
+    pairs = list(combinations(range(1, n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+    return Graph(range(n), [(0, v) for v in spokes] + edges)
+
+
+@given(hub_graphs(), hub_graphs(), st.integers(0, 1000))
+def test_wl_key_agrees_with_networkx_at_two_digit_degrees(a, b, seed):
+    # the labels concatenate degree strings without a separator, so
+    # neighbour degrees 1, 12 and 2, 11 give one label here and in networkx
+    c = _relabelled(a, seed)
+    assert _key(c) == _key(a)
+    for x, y in ((a, b), (b, c), (a, _switched(c, seed))):
+        assert (_key(x) == _key(y)) == (_nx_hash(x) == _nx_hash(y))
+
+
+def _search_batch():
+    """(graph, budget) pairs: pendant wheels, two graphs with no odd-wheel
+    t-minor within reach, and seeded random non-bipartite graphs."""
+    for k in (5, 7, 9, 11, 13):
+        for tail in range(7):
+            yield pendant(make(f"W{k}"), tail), 4000
+    for name in ("co-C7", "moebius8"):
+        for tail in range(7):
+            for budget in (50, 4000):
+                yield pendant(make(name), tail), budget
+    rng = random.Random(15)
+    found = 0
+    while found < 50:
+        g = random_graph(rng, rng.randint(8, 14), rng.choice([0.2, 0.3, 0.4]))
+        if g.bipartition() is not None:
+            continue
+        found += 1
+        yield g, 200
+
+
+def test_search_batch_output_pinned():
+    # recorded before the search moved to bitmasks and interned labels: the
+    # witnesses, the budget cut-offs and the misses all stay the same
+    outputs = []
+    for g, budget in _search_batch():
+        w = find_odd_wheel_tminor(g, budget=budget)
+        outputs.append("None" if w is None else w.to_json())
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert len(outputs) == 113
+    assert digest == "3cfee48d2db0fecbfd80cd0cd72d4af67238802518e70a512b9deddf0eff7c15"
