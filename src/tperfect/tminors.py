@@ -323,13 +323,17 @@ def _empty_trace_witness(g: Graph) -> Optional[OddWheelWitness]:
 
 
 def _hub_structure(g: Graph):
-    """Detect 'induced odd cycle plus one vertex with an odd-arc triple'."""
+    """Detect 'induced odd cycle plus one vertex with an odd-arc triple'.
+    g - v is a cycle only if it has as many edges as vertices, so g - v is
+    built only for such a v, and only when that count is odd and >= 3."""
+    if g.n % 2 or g.n < 4:
+        return None
     for v in g.vertices:
+        if g.m - g.degree(v) != g.n - 1:
+            continue
         rest = [u for u in g.vertices if u != v]
         sub = g.induced_subgraph(rest)
         if any(sub.degree(u) != 2 for u in rest) or not sub.is_connected():
-            continue
-        if len(rest) % 2 == 0 or len(rest) < 3:
             continue
         cycle = _cycle_order(sub)
         anchors = [u for u in cycle if g.has_edge(u, v)]

@@ -155,6 +155,26 @@ def test_oddwheel_witness(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "tamper",
+    [lambda tight: tight[:1], lambda tight: [], lambda tight: tight[::-1]],
+    ids=["tight-cut-to-one", "tight-emptied", "tight-reordered"],
+)
+def test_witness_with_a_wrong_tight_list_is_rejected(capsys, tmp_path, tamper):
+    code, out, _ = run(capsys, "certify", "corpus:W5", "--json")
+    assert code == 1
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    assert run(capsys, "verify", "corpus:W5", str(path)) == (0, "certificate verified\n", "")
+    data = json.loads(out)
+    assert data["kind"] == "witness" and len(data["certificate"]["tight"]) > 1
+    data["certificate"]["tight"] = tamper(data["certificate"]["tight"])
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "corpus:W5", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("certificate rejected: witness tight list")
+
+
+@pytest.mark.parametrize(
     "which, steps, index",
     [
         ("wheel", [["delete", "0"], ["delete", "0"]], 1),

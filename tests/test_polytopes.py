@@ -1,12 +1,16 @@
 import hashlib
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 from tperfect.errors import CapExceededError, VerificationError
 from tperfect.geometry import HPolytope, Inequality, point_in_hull, qvec
-from tperfect.corpus import make
+from tperfect import polytopes
+from tperfect.corpus import corpus_names, make
 from tperfect.geometry import _dd_enumerate, _row_to_int, enumerate_vertices
 from tperfect.graphs import Graph, has_k4_minor
 from tperfect.polytopes import (
@@ -199,7 +203,10 @@ def test_vertex_order_deterministic():
 
 
 def _witness_at(g, relaxation, point):
-    return ImperfectionWitness(relaxation=relaxation, order=vertex_order(g), point=qvec(point), tight_tags=())
+    x = qvec(point)
+    p = {"tstab": tstab, "hstab": hstab}[relaxation](g)
+    tight = tuple((i.tag, i.source) for i in p.tight_inequalities(x))
+    return ImperfectionWitness(relaxation=relaxation, order=vertex_order(g), point=x, tight_tags=tight)
 
 
 def test_witness_rejects_integral_vertex():
@@ -280,3 +287,81 @@ def test_theorem_shortcut_sound_on_atlas():
         for p in (tstab(g), hstab(g)):
             assert all(c.denominator == 1 for x in enumerate_vertices(p).vertices for c in x)
     assert settled == 682
+
+
+def _polytope_workload_graphs(seed):
+    """The 25 graphs of the benchmark's ``polytope`` workload, drawn as
+    ``perfbench/pb_workloads.polytope_tasks(seed)`` draws them."""
+    rng = random.Random(seed)
+    names = [f"C{n}" for n in range(6, 14)] + ["W5", "W7", "W9", "W11"]
+    names += ["moebius8", "moebius12", "co-C7", "grotzsch", "joinC5C5"]
+    graphs = [(name, make(name)) for name in names]
+    for n in (8, 9, 10, 11):
+        graphs.append((f"sp{n}", make(f"sp-{rng.randrange(10**6)}-{n}")))
+    for n in (6, 7):
+        edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        edges += [(rng.randrange(v), v) for v in range(4, n)]
+        graphs.append((f"K4tree{n}", Graph(range(n), edges)))
+    for a, b in ((3, 4), (4, 5)):
+        edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < 0.5]
+        edges.append((0, a))
+        graphs.append((f"bip{a}x{b}", Graph(range(a + b), edges)))
+    return graphs
+
+
+def test_polytope_witnesses_pinned():
+    # sha256 of the three oracles' answers ("true" or the witness JSON) on
+    # every corpus graph and on the polytope workload graphs at seed 1,
+    # recorded before the oracle searched the face x_{v1} = 0 first
+    graphs = [(name, make(name)) for name in corpus_names()] + _polytope_workload_graphs(1)
+    assert len(graphs) == 27 + 25
+    h = hashlib.sha256()
+    for name, g in graphs:
+        for oracle in (is_t_perfect, is_h_perfect, is_hbar_perfect):
+            holds, w = oracle(g)
+            h.update(f"{name} {oracle.__name__} {'true' if holds else w.to_json()}\n".encode())
+    assert h.hexdigest() == "c81e6ed59df862b86a397b8d6c7006b86c6df6453d6da618ff1dc8ffcbc93af6"
+
+
+_LABELS = (
+    lambda i: i,
+    lambda i: f"v{i}",
+    lambda i: ("t", i % 3, i),
+    lambda i: (i, f"s{i}", ("m", i))[i % 3],
+)
+
+
+@st.composite
+def mixed_label_graphs(draw):
+    """Graphs on at most 9 vertices, each edge present with probability 1/2,
+    labelled by ints, strings, tuples or a mix of the three."""
+    n = draw(st.integers(0, 9))
+    label = draw(st.sampled_from(_LABELS))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(map(label, range(n)), [(label(u), label(v)) for (u, v), k in zip(pairs, keep) if k])
+
+
+@given(mixed_label_graphs())
+def test_witness_is_the_first_fractional_vertex_of_the_whole_relaxation(g):
+    for oracle, build in ((is_t_perfect, tstab), (is_h_perfect, hstab)):
+        fractional = [x for x in enumerate_vertices(build(g)).vertices if any(c.denominator != 1 for c in x)]
+        holds, w = oracle(g)
+        assert holds == (not fractional)
+        if fractional:
+            assert w.point == fractional[0]
+
+
+@pytest.mark.parametrize("name, dims", [("joinC5C5", [6]), ("grotzsch", [10])])
+def test_double_description_runs_on_the_face(monkeypatch, name, dims):
+    # the first fractional vertex lies in the face x_{v1} = 0, so the double
+    # description runs on a smaller graph than the input's
+    seen = []
+
+    def counting(p):
+        seen.append(p.dim)
+        return enumerate_vertices(p)
+
+    monkeypatch.setattr(polytopes, "enumerate_vertices", counting)
+    assert not is_t_perfect(make(name))[0]
+    assert seen == dims
