@@ -368,9 +368,7 @@ def _verify_dispatch(g: Graph, data) -> bool:
 
 
 def _check_trace_base(g: Graph, trace) -> None:
-    if set(trace.base.vertices) != set(g.vertices) or set(trace.base.edges()) != set(
-        g.edges()
-    ):
+    if trace.base != g:
         raise VerificationError("trace base graph does not match the input graph")
 
 

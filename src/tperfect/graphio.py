@@ -56,9 +56,11 @@ def to_edge_list(g: Graph) -> str:
 
 def from_edge_list(text: str) -> Graph:
     """Parse "n m" header plus "u v" edge lines; blank lines and lines
-    starting with # are ignored.  A negative n or m is rejected."""
+    starting with # are ignored.  A negative n or m is rejected, and so is
+    an edge listed twice, in either orientation, since it would defeat the
+    header's count."""
     header = None
-    edges = []
+    edges = {}  # (min, max) endpoint pair -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -85,7 +87,12 @@ def from_edge_list(text: str) -> Graph:
             raise PreconditionError(f"line {lineno}: endpoint out of range 0..{n - 1}")
         if u == v:
             raise PreconditionError(f"line {lineno}: loop rejected")
-        edges.append((u, v))
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise PreconditionError(
+                f"line {lineno}: repeated edge {u} {v} (first on line {edges[edge]})"
+            )
+        edges[edge] = lineno
     if header is None:
         raise PreconditionError("missing 'n m' header line")
     if len(edges) != header[1]:

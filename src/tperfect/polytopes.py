@@ -15,7 +15,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .errors import CapExceededError, VerificationError
+from .errors import CapExceededError, PreconditionError, VerificationError
 from .geometry import (
     HPolytope,
     Inequality,
@@ -181,7 +181,8 @@ def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
     certificate's ``tight`` list names exactly the rows of P tight at the
     point, in P's row order, it is a vertex of P (those tight rows have full
     rank), and it has a non-integral coordinate.  Raises VerificationError
-    naming the first violated clause.
+    naming the first violated clause.  A relaxation other than "tstab" and
+    "hstab" makes the certificate malformed, not false: PreconditionError.
 
     Together these prove that the point lies outside the stable set polytope
     STAB(g).  Every row of ``tstab`` and ``hstab`` is valid for the incidence
@@ -195,7 +196,7 @@ def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
     elif w.relaxation == "hstab":
         p = hstab(g)
     else:
-        raise VerificationError("unknown relaxation", detail={"relaxation": w.relaxation})
+        raise PreconditionError(f"unknown relaxation {w.relaxation!r}")
     if tuple(w.order) != vertex_order(g):
         raise VerificationError("witness coordinate order mismatch")
     x = qvec(w.point)

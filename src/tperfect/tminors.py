@@ -40,17 +40,17 @@ class TMinorTrace:
     contraction_map: dict  # result vertex -> frozenset of base vertices
 
     def to_json(self) -> str:
+        def graph(h: Graph) -> dict:
+            return {
+                "vertices": [repr(v) for v in h.vertices],
+                "edges": [[repr(u), repr(v)] for u, v in h.edges()],
+            }
+
         return json.dumps(
             {
-                "base": {
-                    "vertices": [repr(v) for v in self.base.vertices],
-                    "edges": [[repr(u), repr(v)] for u, v in self.base.edges()],
-                },
+                "base": graph(self.base),
                 "steps": [{"kind": s.kind, "vertex": repr(s.vertex)} for s in self.steps],
-                "result": {
-                    "vertices": [repr(v) for v in self.result.vertices],
-                    "edges": [[repr(u), repr(v)] for u, v in self.result.edges()],
-                },
+                "result": graph(self.result),
                 "contraction_map": {
                     repr(v): sorted(repr(u) for u in cls)
                     for v, cls in self.contraction_map.items()
@@ -93,12 +93,6 @@ class TraceBuilder:
         self.classes[rep] = frozenset().union(*(self.classes.pop(u) for u in merged))
         self.steps.append(TMinorStep("tcontract", v))
 
-    def apply(self, step: TMinorStep):
-        if step.kind == "delete":
-            self.delete(step.vertex)
-        else:
-            self.tcontract(step.vertex)
-
     def trace(self) -> TMinorTrace:
         return TMinorTrace(
             base=self.base,
@@ -122,7 +116,7 @@ def _replayed(base: Graph, steps) -> TraceBuilder:
     builder = TraceBuilder(base)
     for i, step in enumerate(steps):
         try:
-            builder.apply(step)
+            (builder.delete if step.kind == "delete" else builder.tcontract)(step.vertex)
         except (PreconditionError, UnknownVertexError) as e:
             raise VerificationError(f"illegal trace step: {e}", detail={"step": i}) from e
     return builder
@@ -138,17 +132,24 @@ def replay(trace: TMinorTrace) -> bool:
     return True
 
 
-def _cycle_order(cycle_graph: Graph) -> list:
-    """Vertices of a graph that is one cycle, in cyclic order: from the
-    smallest label towards the smaller of its two neighbours."""
-    start = cycle_graph.vertices[0]
-    prev, cur, order = None, start, []
-    while True:
-        order.append(cur)
-        nxt = [w for w in cycle_graph.neighbours(cur) if w != prev]
-        prev, cur = cur, min(nxt, key=label_key) if len(order) == 1 else nxt[0]
-        if cur == start:
-            return order
+def _cycle_without(g: Graph, v) -> Optional[list]:
+    """The vertices of g - v in cyclic order, from the smallest label
+    towards the smaller of its two neighbours, if g - v is one cycle; else
+    None.  It is one cycle iff each of its vertices has two neighbours in
+    it and the walk along them meets every vertex before it closes.  g - v
+    must not be empty."""
+    rest = [u for u in g.vertices if u != v]
+    nbrs = {u: g.neighbours(u) - {v} for u in rest}
+    if any(len(ns) != 2 for ns in nbrs.values()):
+        return None
+    order = [rest[0], min(nbrs[rest[0]], key=label_key)]
+    while len(order) < len(rest):
+        a, b = nbrs[order[-1]]
+        nxt = b if a == order[-2] else a
+        if nxt == order[0]:
+            return None
+        order.append(nxt)
+    return order
 
 
 def is_odd_wheel(g: Graph):
@@ -156,23 +157,16 @@ def is_odd_wheel(g: Graph):
 
     A wheel here is a cycle of length k >= 3 plus one vertex adjacent to all
     of it; K4 counts (every vertex works as a hub, the smallest is chosen).
+    The hub is the first vertex of degree n - 1, and g is an odd wheel iff
+    n is even and g minus the hub is one cycle: that cycle has the n - 1
+    other vertices, so its length is odd once n is even.
     """
     n = g.n
-    if n < 4 or n % 2 != 0:
-        # odd rim k plus hub means n = k + 1 is even
+    if n < 4 or n % 2:
         return None
-    hubs = [v for v in g.vertices if g.degree(v) == n - 1]
-    if not hubs:
-        return None
-    hub = hubs[0]
-    rim_vertices = [v for v in g.vertices if v != hub]
-    rim_graph = g.induced_subgraph(rim_vertices)
-    if any(rim_graph.degree(v) != 2 for v in rim_vertices) or not rim_graph.is_connected():
-        return None
-    cycle = _cycle_order(rim_graph)
-    if len(cycle) % 2 == 0:
-        return None
-    return hub, cycle
+    hub = next((v for v in g.vertices if g.degree(v) == n - 1), None)
+    rim = None if hub is None else _cycle_without(g, hub)
+    return None if rim is None else (hub, rim)
 
 
 @dataclass(frozen=True)
@@ -254,14 +248,13 @@ def extract_wheel_from_hub(g: Graph, cycle, v) -> OddWheelWitness:
         if not free:
             break
         builder.tcontract(free[0])
-    result = builder.graph
-    if is_odd_wheel(result) is None:
+    rim = _cycle_without(builder.graph, v)
+    if rim is None:
         raise VerificationError(
             "contraction loop did not terminate in an odd wheel",
-            detail={"result": result},
+            detail={"result": builder.graph},
         )
-    rim_cycle = _cycle_order(result.delete_vertices([v]))
-    witness = OddWheelWitness(trace=builder.trace(), hub=v, rim=tuple(rim_cycle))
+    witness = OddWheelWitness(trace=builder.trace(), hub=v, rim=tuple(rim))
     verify_odd_wheel_witness(witness)
     return witness
 
@@ -310,34 +303,23 @@ def connected_bipartite_containing(g: Graph, s, g_param: int) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def _empty_trace_witness(g: Graph) -> Optional[OddWheelWitness]:
-    decomposition = is_odd_wheel(g)
-    if decomposition is None:
-        return None
-    hub, rim = decomposition
-    w = OddWheelWitness(
-        trace=TraceBuilder(g).trace(), hub=hub, rim=tuple(rim)
-    )
-    verify_odd_wheel_witness(w)
-    return w
-
-
 def _hub_structure(g: Graph):
-    """Detect 'induced odd cycle plus one vertex with an odd-arc triple'.
-    g - v is a cycle only if it has as many edges as vertices, so g - v is
-    built only for such a v, and only when that count is odd and >= 3."""
+    """(cycle, v) for the first v such that g is an induced odd cycle plus
+    v with three neighbours cutting it into odd arcs, else None.  g - v is
+    a cycle only if it has as many edges as vertices, so the cycle is
+    looked for only at such a v, and only when n - 1 is odd and >= 3.
+
+    An odd wheel is such a graph, with the same hub as is_odd_wheel finds:
+    its hub sees the whole rim, so three consecutive rim vertices cut it
+    into odd arcs, and the hub is the one vertex with m - deg = n - 1
+    unless g is K4, where every vertex is a hub and the first is taken."""
     if g.n % 2 or g.n < 4:
         return None
     for v in g.vertices:
         if g.m - g.degree(v) != g.n - 1:
             continue
-        rest = [u for u in g.vertices if u != v]
-        sub = g.induced_subgraph(rest)
-        if any(sub.degree(u) != 2 for u in rest) or not sub.is_connected():
-            continue
-        cycle = _cycle_order(sub)
-        anchors = [u for u in cycle if g.has_edge(u, v)]
-        if len(anchors) >= 3 and _odd_arc_triple(cycle, anchors) is not None:
+        cycle = _cycle_without(g, v)
+        if cycle is not None and _odd_arc_triple(cycle, [u for u in cycle if g.has_edge(u, v)]):
             return cycle, v
     return None
 
@@ -476,14 +458,20 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
 
     Absence of a result is not a proof of non-existence: the search expands
     at most ``budget`` traces, and a negative budget is refused with
-    PreconditionError.  Bipartite graphs are rejected immediately (all
-    their deletions and contractions stay bipartite, so no odd wheel can
-    appear).  The search prunes on _WLKey, not on networkx's WL hash, so its
-    answers do not depend on the installed networkx: before 3.5 that hash
-    ran one more round, pruned differently and could give another witness.
+    PreconditionError.  There are three routes, taken in this order:
+    - a bipartite graph gets None at once: all its deletions and
+      contractions stay bipartite, so no odd wheel can appear;
+    - a graph that is an induced odd cycle plus one vertex with three
+      neighbours cutting the cycle into odd arcs (_hub_structure; an odd
+      wheel is one) gets extract_wheel_from_hub's witness, which has no
+      steps when the graph is an odd wheel already;
+    - any other graph is searched.
+    The search prunes on _WLKey, not on networkx's WL hash, so its answers
+    do not depend on the installed networkx: before 3.5 that hash ran one
+    more round, pruned differently and could give another witness.
 
-    It is breadth-first over traces, memoized on _WLKey (collisions only
-    lose completeness: every hit is re-verified).  Vertices are indexed in
+    The search is breadth-first over traces, memoized on _WLKey (collisions
+    only lose completeness: every hit is re-verified).  Vertices are indexed in
     label order, and a graph of the search is a list of neighbour bitmasks
     plus a mask of the vertices alive.  A contraction keeps the least index
     of the merged class, as TraceBuilder.tcontract keeps its least label.
@@ -508,9 +496,6 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
         raise PreconditionError(f"budget must be non-negative, got {budget}")
     if g.bipartition() is not None:
         return None
-    w = _empty_trace_witness(g)
-    if w is not None:
-        return w
     hub = _hub_structure(g)
     if hub is not None:
         cycle, v = hub

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -208,6 +209,22 @@ def test_unknown_trace_step_kind_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: unknown step kind")
 
 
+def test_cli_outputs_digests_what_each_subcommand_prints(capsys):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "C5", "W5"], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    rows = [line.split() for line in done.stdout.splitlines()]
+    commands = ["oddgirth", "chi", "chistar", "tperfect", "hperfect", "hbarperfect",
+                "certify", "oddwheel-witness"]
+    assert [row[:2] for row in rows] == [[c, name] for name in ("C5", "W5") for c in commands]
+    for command, name, digest, code in rows:
+        flags = [] if command == "oddgirth" else ["--json"]
+        got, out, err = run(capsys, command, f"corpus:{name}", *flags)
+        assert (digest, code) == (hashlib.sha256((out + err).encode()).hexdigest(), str(got))
+
+
 def test_fractional_set_outside_the_graph_is_rejected(capsys, tmp_path):
     data = _k4_certificate(capsys, "chistar")
     data["sets"][0]["vertices"].append("99")
@@ -386,6 +403,12 @@ def _rope_with_empty_path(capsys):
     return json.dumps(rope)
 
 
+def _unknown_relaxation(capsys):
+    data = _k4_certificate(capsys, "tperfect")
+    data["relaxation"] = "qstab"
+    return json.dumps(data)
+
+
 def _rope_of_unknown_kind(capsys):
     rope = json.loads(_rope_text(capsys))
     rope["kind"] = "wheel"
@@ -401,6 +424,7 @@ def _rope_of_unknown_kind(capsys):
         ("verify", _assignment_as_list),
         ("verify", _string_colour_count),
         ("verify", _set_without_weight),
+        ("verify", _unknown_relaxation),
         ("verify", lambda capsys: "[1, 2]"),
         ("rope verify", None),
         ("rope verify", lambda capsys: _rope_text(capsys)[:40]),
@@ -416,6 +440,7 @@ def _rope_of_unknown_kind(capsys):
         "assignment-list",
         "colour-count-string",
         "set-without-weight",
+        "relaxation-unknown",
         "top-level-list",
         "rope-file-missing",
         "rope-file-truncated",

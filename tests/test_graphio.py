@@ -78,6 +78,9 @@ def test_edge_list_diagnostics():
         from_edge_list("-3 0\n")
     with pytest.raises(PreconditionError, match="line 2: negative"):
         from_edge_list("# comment\n3 -1\n")
+    for repeat in ("0 1", "1 0"):
+        with pytest.raises(PreconditionError, match="line 4: repeated edge"):
+            from_edge_list(f"3 3\n0 1\n1 2\n{repeat}\n")
 
 
 def test_json_graph_roundtrip_with_tuple_labels():

@@ -62,6 +62,9 @@ def test_is_odd_wheel():
     hub, rim = is_odd_wheel(complete(4))
     assert len(rim) == 3
     assert is_odd_wheel(cycle(7)) is None
+    # a hub over a triangle and a square: its rim is two cycles, not one
+    rim = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    assert is_odd_wheel(Graph(range(8), rim + [(7, v) for v in range(7)])) is None
 
 
 def test_trace_replay_and_json():
@@ -418,3 +421,45 @@ def test_search_batch_output_pinned():
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert len(outputs) == 113
     assert digest == "3cfee48d2db0fecbfd80cd0cd72d4af67238802518e70a512b9deddf0eff7c15"
+
+
+def _hub_batch():
+    """Seeded odd cycles of 5-13 vertices plus a hub with 3..k spokes, with
+    int, string or tuple labels in shuffled order.  Of the 60 graphs, 13
+    are odd wheels, 36 more have an odd-arc triple and 11 have none."""
+    rng = random.Random(17)
+    kinds = [lambda i: i, lambda i: f"v{i}", lambda i: ("x", i % 3, i)]
+    for k in (5, 7, 9, 11, 13):
+        for labels in kinds:
+            for _ in range(4):
+                spokes = sorted(rng.sample(range(k), rng.randint(3, k)))
+                names = [labels(i) for i in range(k + 1)]
+                rng.shuffle(names)
+                edges = [(names[i], names[(i + 1) % k]) for i in range(k)]
+                edges += [(names[k], names[i]) for i in spokes]
+                yield Graph(names, edges)
+
+
+def test_hub_route_output_pinned():
+    # recorded while odd wheels still had a route of their own, apart from
+    # the hub route that now answers them
+    outputs = []
+    for g in _hub_batch():
+        w = find_odd_wheel_tminor(g)
+        outputs.append("None" if w is None else w.to_json())
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert len(outputs) == 60 and outputs.count("None") == 11
+    assert digest == "c497ddc565ef0b7d4be2233fe0fc9ac91c14aa508c15c170456ec1c8e0f5d6e5"
+
+
+# sha256 of certify(...).to_json() on odd wheels above the polytope cap
+WHEEL_CERTIFICATES = {
+    "W17": "d2d1d25dc794f96552c06b6fc5d9586e337cff65404190ebfe31f331c0727458",
+    "W19": "8baaf44f013102ba00556dcaf9d79d45c1fdf61b79375bca9d0e272e23f9c8e4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHEEL_CERTIFICATES))
+def test_certify_pins_odd_wheel_witnesses(name):
+    text = certify(make(name)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == WHEEL_CERTIFICATES[name]
