@@ -40,23 +40,27 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _read(path: str) -> str:
+    """The text of a file; a file that cannot be read or is not UTF-8 text
+    raises TPerfectError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise TPerfectError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError:
+        raise TPerfectError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def load_graph(spec: str, fmt: str | None = None) -> Graph:
     if spec.startswith("corpus:"):
         return corpus.make(spec)
-    try:
-        with open(spec) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise TPerfectError(f"cannot read {spec}: {e.strerror}") from e
-    return graphio.parse_graph(text, fmt or graphio.guess_format(spec))
+    return graphio.parse_graph(_read(spec), fmt or graphio.guess_format(spec))
 
 
 def _load_json_file(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise TPerfectError(f"cannot read {path}: {e.strerror}") from e
+        return json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise TPerfectError(f"malformed JSON in {path}: {e.msg}") from e
     except RecursionError:
@@ -159,7 +163,7 @@ def cmd_reduce(args) -> int:
     s = reduce_odd_girth(g, args.ell)
     ordered = sorted(s, key=label_key)
     if args.json:
-        print(json.dumps({"stable_set": [repr(v) for v in ordered]}, indent=2))
+        print(graphio.to_json({"stable_set": [repr(v) for v in ordered]}))
     else:
         for v in ordered:
             print(repr(v))
@@ -172,7 +176,7 @@ def _certify_one(spec: str, fmt: str | None, as_json: bool, prefix: str = "") ->
     cert = certify(load_graph(spec, fmt))
     if as_json:
         # batch lines stay one certificate per line
-        payload = cert.to_json() if not prefix else json.dumps(json.loads(cert.to_json()))
+        payload = json.dumps(cert.to_data(), sort_keys=True) if prefix else cert.to_json()
         print(prefix + payload)
     elif cert.kind == "colouring":
         print(f"{prefix}colouring with {cert.colouring.num_colours} colours")
@@ -183,11 +187,7 @@ def _certify_one(spec: str, fmt: str | None, as_json: bool, prefix: str = "") ->
 
 def cmd_certify(args) -> int:
     if args.batch:
-        try:
-            with open(args.batch) as fh:
-                specs = [line.strip() for line in fh if line.strip()]
-        except OSError as e:
-            raise TPerfectError(f"cannot read {args.batch}: {e.strerror}") from e
+        specs = [line.strip() for line in _read(args.batch).split("\n") if line.strip()]
         worst = EXIT_HOLDS
         for spec in specs:
             code = _certify_one(spec, args.format, args.json, prefix=f"{spec}: ")
@@ -208,7 +208,7 @@ def cmd_tcontract(args) -> int:
         print(
             json.dumps(
                 {
-                    "graph": json.loads(graphio.to_json_graph(h)),
+                    "graph": graphio.graph_data(h),
                     "classes": {
                         repr(w): sorted((repr(u) for u in cls))
                         for w, cls in sorted(classes.items(), key=lambda kv: label_key(kv[0]))
@@ -242,7 +242,7 @@ def cmd_rope_verify(args) -> int:
     from .ropes import verify_rope
 
     return _check_file(
-        args, args.ropefile, "rope", lambda g, data: verify_rope(g, _parse_rope(data))
+        args, args.ropefile, "rope", lambda g, d: verify_rope(g, _parse(graphio.parse_rope, d))
     )
 
 
@@ -250,15 +250,7 @@ def cmd_rope_generate(args) -> int:
     from .ropes import generate_rope
 
     g, rope = generate_rope(args.r, args.odd, args.even)
-    print(
-        json.dumps(
-            {
-                "graph": json.loads(graphio.to_json_graph(g)),
-                "rope": json.loads(rope.to_json()),
-            },
-            indent=2,
-        )
-    )
+    print(graphio.to_json({"graph": graphio.graph_data(g), "rope": rope.to_data()}))
     return EXIT_HOLDS
 
 
@@ -325,17 +317,22 @@ def _parse(parser, data):
         raise PreconditionError(f"malformed certificate: {type(e).__name__}: {e}") from e
 
 
-def _parse_rope(data):
-    from .ropes import rope_from_json
-
-    return _parse(lambda d: rope_from_json(json.dumps(d)), data)
+# the envelope kind that certify writes around each certificate shape
+_ENVELOPE_KIND = {"colouring": "colouring", "witness": "witness", "wheel": "witness"}
 
 
 def _verify_dispatch(g: Graph, data) -> bool:
     kind = graphio.identify_certificate(data)
     while kind == "certificate":
-        data = data["certificate"]
+        # an envelope's kind must match its body's: the next envelope's kind,
+        # or the kind certify writes around the certificate it holds
+        outer, data = data["kind"], data["certificate"]
         kind = graphio.identify_certificate(data)
+        inner = data["kind"] if kind == "certificate" else _ENVELOPE_KIND.get(kind)
+        if inner is None or outer != inner:
+            raise PreconditionError(
+                f"certificate envelope of kind {outer!r} does not match what it holds"
+            )
     if kind == "colouring":
         from .colouring import verify_colouring
 
@@ -363,7 +360,7 @@ def _verify_dispatch(g: Graph, data) -> bool:
     if kind == "rope":
         from .ropes import verify_rope
 
-        return verify_rope(g, _parse_rope(data))
+        return verify_rope(g, _parse(graphio.parse_rope, data))
     raise VerificationError(f"no verifier for certificate kind {kind!r}")
 
 

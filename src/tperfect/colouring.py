@@ -4,7 +4,6 @@ the certifying pipeline that either colours a graph or refutes t-perfection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -13,6 +12,7 @@ import networkx as nx
 
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .geometry import solve_lp
+from .graphio import JSONData
 from .graphs import COMBINATORIAL_CAP, Graph, is_stable, label_key, odd_girth, shortest_odd_cycle
 from .polytopes import (
     POLYTOPE_DIM_CAP,
@@ -23,7 +23,7 @@ from .polytopes import (
 
 
 @dataclass(frozen=True)
-class Colouring:
+class Colouring(JSONData):
     """Proper vertex colouring with contiguous colour indices from 0."""
 
     assignment: dict
@@ -35,15 +35,11 @@ class Colouring:
             out[c].add(v)
         return [frozenset(s) for s in out]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num_colours": self.num_colours,
-                "assignment": {repr(v): c for v, c in self.assignment.items()},
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_data(self) -> dict:
+        return {
+            "num_colours": self.num_colours,
+            "assignment": {repr(v): c for v, c in self.assignment.items()},
+        }
 
 
 def verify_colouring(g: Graph, col: Colouring) -> bool:
@@ -64,7 +60,7 @@ def verify_colouring(g: Graph, col: Colouring) -> bool:
 
 
 @dataclass(frozen=True)
-class FractionalColouring:
+class FractionalColouring(JSONData):
     """Weighted stable sets covering every vertex with total weight >= 1."""
 
     weights: tuple  # tuple of (frozenset, Fraction > 0)
@@ -73,21 +69,17 @@ class FractionalColouring:
     def total(self) -> Fraction:
         return sum((w for _, w in self.weights), Fraction(0))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total": f"{self.total.numerator}/{self.total.denominator}",
-                "sets": [
-                    {
-                        "vertices": [repr(v) for v in sorted(s, key=label_key)],
-                        "weight": f"{w.numerator}/{w.denominator}",
-                    }
-                    for s, w in self.weights
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_data(self) -> dict:
+        return {
+            "total": f"{self.total.numerator}/{self.total.denominator}",
+            "sets": [
+                {
+                    "vertices": [repr(v) for v in sorted(s, key=label_key)],
+                    "weight": f"{w.numerator}/{w.denominator}",
+                }
+                for s, w in self.weights
+            ],
+        }
 
 
 def verify_fractional_colouring(g: Graph, fc: FractionalColouring) -> bool:
@@ -306,22 +298,18 @@ def reduce_odd_girth(g: Graph, ell: int) -> frozenset:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(JSONData):
     """Outcome of the certifying pipeline: a proper colouring, or evidence
     that the input is not t-perfect (fractional vertex or replayable trace
     ending in an odd wheel)."""
 
     kind: str  # "colouring" or "witness"
     colouring: Optional[Colouring] = None
-    witness: object = None  # ImperfectionWitness or TMinorTrace
+    witness: object = None  # ImperfectionWitness or OddWheelWitness
 
-    def to_json(self) -> str:
+    def to_data(self) -> dict:
         body = self.colouring if self.kind == "colouring" else self.witness
-        return json.dumps(
-            {"kind": self.kind, "certificate": json.loads(body.to_json())},
-            indent=2,
-            sort_keys=True,
-        )
+        return {"kind": self.kind, "certificate": body.to_data()}
 
 
 # Rounds of odd-girth raising before the exact colouring of the remainder:

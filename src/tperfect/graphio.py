@@ -1,9 +1,11 @@
-"""Graph file formats (graph6, edge list, JSON adjacency) and parsing of the
-JSON certificates the library emits.
+"""Graph file formats (graph6, edge list, JSON adjacency), the one writer of
+the JSON the library emits (``to_json`` and the ``JSONData`` base of every
+certificate class), and the parser of every certificate and rope JSON.
 
 Certificate JSON stores vertex labels as their Python reprs; parsing uses
 ast.literal_eval, which covers every label kind the library produces (ints,
-strings, and nested tuples of those).
+strings, and nested tuples of those).  Graph and rope JSON store labels as
+nested lists instead (``encode_label``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,24 @@ import networkx as nx
 
 from .errors import PreconditionError
 from .graphs import Graph, label_key
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+
+def to_json(data) -> str:
+    """JSON text as the library writes it: indented by two, keys sorted."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+class JSONData:
+    """Base of the certificate classes: ``to_json()`` writes the JSON data
+    that their ``to_data()`` returns."""
+
+    def to_json(self) -> str:
+        return to_json(self.to_data())
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +137,17 @@ def decode_label(v):
     return v
 
 
-def to_json_graph(g: Graph) -> str:
+def graph_data(g: Graph) -> dict:
+    """{"adjacency": [[vertex, [neighbours]], ...]} in label order."""
     adjacency = [
         [encode_label(v), [encode_label(w) for w in sorted(g.neighbours(v), key=label_key)]]
         for v in g.vertices
     ]
-    return json.dumps({"adjacency": adjacency}, indent=2)
+    return {"adjacency": adjacency}
+
+
+def to_json_graph(g: Graph) -> str:
+    return to_json(graph_data(g))
 
 
 def from_json_graph(text: str) -> Graph:
@@ -186,7 +211,7 @@ def guess_format(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# certificate parsing (labels stored as reprs)
+# certificate and rope parsing
 # ---------------------------------------------------------------------------
 
 
@@ -271,6 +296,27 @@ def parse_wheel_witness(data: dict):
         hub=parse_label(data["hub"]),
         rim=tuple(parse_label(v) for v in data["rim"]),
     )
+
+
+def parse_rope(data: dict):
+    """A rope or broken rope from its JSON data; a kind other than "rope" or
+    "broken_rope", or an empty constituent path, raises PreconditionError."""
+    from .ropes import ArithmeticRope, BrokenRope
+
+    kind = {"rope": ArithmeticRope, "broken_rope": BrokenRope}.get(data["kind"])
+    if kind is None:
+        raise PreconditionError(f"unknown rope kind {data['kind']!r}")
+    anchors = tuple(decode_label(q) for q in data["anchors"])
+    paths = tuple(
+        (
+            [decode_label(v) for v in p1],
+            [decode_label(v) for v in p2],
+        )
+        for p1, p2 in data["paths"]
+    )
+    if not all(p1 and p2 for p1, p2 in paths):
+        raise PreconditionError("rope has an empty constituent path")
+    return kind(anchors=anchors, paths=paths)
 
 
 def identify_certificate(data: dict) -> str:

@@ -8,7 +8,6 @@ answers come with a machine-checked fractional vertex witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,6 +22,7 @@ from .geometry import (
     qvec,
     _rank,
 )
+from .graphio import JSONData
 from .graphs import Graph, has_k4_minor, label_key, shortest_odd_cycle
 
 # Vertex enumeration cost grows quickly with dimension; refuse above this.
@@ -146,7 +146,7 @@ def hstab(g: Graph) -> HPolytope:
 
 
 @dataclass(frozen=True)
-class ImperfectionWitness:
+class ImperfectionWitness(JSONData):
     """A fractional vertex of a relaxation, proving it exceeds the stable
     set polytope.  ``point`` is given in the coordinate order ``order``."""
 
@@ -155,23 +155,19 @@ class ImperfectionWitness:
     point: tuple  # QVec of Fractions
     tight_tags: tuple  # (tag, source) of each inequality tight at the point
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "relaxation": self.relaxation,
-                "order": [repr(v) for v in self.order],
-                "point": {
-                    repr(v): f"{x.numerator}/{x.denominator}"
-                    for v, x in zip(self.order, self.point)
-                },
-                "tight": [
-                    {"tag": tag, "source": [repr(s) for s in source]}
-                    for tag, source in self.tight_tags
-                ],
+    def to_data(self) -> dict:
+        return {
+            "relaxation": self.relaxation,
+            "order": [repr(v) for v in self.order],
+            "point": {
+                repr(v): f"{x.numerator}/{x.denominator}"
+                for v, x in zip(self.order, self.point)
             },
-            indent=2,
-            sort_keys=True,
-        )
+            "tight": [
+                {"tag": tag, "source": [repr(s) for s in source]}
+                for tag, source in self.tight_tags
+            ],
+        }
 
 
 def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:

@@ -20,7 +20,7 @@ from collections import deque
 
 from .colouring import chi_exact
 from .errors import PreconditionError, VerificationError
-from .graphio import decode_label, encode_label
+from .graphio import JSONData, encode_label, parse_rope
 from .graphs import (
     COMBINATORIAL_CAP,
     Graph,
@@ -98,7 +98,7 @@ class StableGrading:
 # ---------------------------------------------------------------------------
 
 
-class _RopeParts:
+class _RopeParts(JSONData):
     """Vertex set and JSON form shared by ropes and broken ropes, which
     differ in the JSON only by ``KIND``."""
 
@@ -109,19 +109,15 @@ class _RopeParts:
             out.update(p2)
         return frozenset(out)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.KIND,
-                "anchors": [encode_label(q) for q in self.anchors],
-                "paths": [
-                    [[encode_label(v) for v in p1], [encode_label(v) for v in p2]]
-                    for p1, p2 in self.paths
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_data(self) -> dict:
+        return {
+            "kind": self.KIND,
+            "anchors": [encode_label(q) for q in self.anchors],
+            "paths": [
+                [[encode_label(v) for v in p1], [encode_label(v) for v in p2]]
+                for p1, p2 in self.paths
+            ],
+        }
 
 
 @dataclass(frozen=True)
@@ -157,23 +153,8 @@ class BrokenRope(_RopeParts):
 
 
 def rope_from_json(text: str):
-    """Parse a rope's JSON form; a kind other than "rope" or "broken_rope",
-    or an empty constituent path, raises PreconditionError."""
-    data = json.loads(text)
-    kind = {"rope": ArithmeticRope, "broken_rope": BrokenRope}.get(data["kind"])
-    if kind is None:
-        raise PreconditionError(f"unknown rope kind {data['kind']!r}")
-    anchors = tuple(decode_label(q) for q in data["anchors"])
-    paths = tuple(
-        (
-            [decode_label(v) for v in p1],
-            [decode_label(v) for v in p2],
-        )
-        for p1, p2 in data["paths"]
-    )
-    if not all(p1 and p2 for p1, p2 in paths):
-        raise PreconditionError("rope has an empty constituent path")
-    return kind(anchors=anchors, paths=paths)
+    """Parse a rope's JSON text (see ``graphio.parse_rope``)."""
+    return parse_rope(json.loads(text))
 
 
 def _chain(rope, h) -> list:

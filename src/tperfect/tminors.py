@@ -10,7 +10,6 @@ be replayed and audited independently.
 
 from __future__ import annotations
 
-import json
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import PreconditionError, UnknownVertexError, VerificationError
+from .graphio import JSONData
 from .graphs import Graph, is_cycle_induced, is_stable, label_key, odd_girth
 
 
@@ -33,32 +33,28 @@ class TMinorStep:
 
 
 @dataclass(frozen=True)
-class TMinorTrace:
+class TMinorTrace(JSONData):
     base: Graph
     steps: tuple
     result: Graph
     contraction_map: dict  # result vertex -> frozenset of base vertices
 
-    def to_json(self) -> str:
+    def to_data(self) -> dict:
         def graph(h: Graph) -> dict:
             return {
                 "vertices": [repr(v) for v in h.vertices],
                 "edges": [[repr(u), repr(v)] for u, v in h.edges()],
             }
 
-        return json.dumps(
-            {
-                "base": graph(self.base),
-                "steps": [{"kind": s.kind, "vertex": repr(s.vertex)} for s in self.steps],
-                "result": graph(self.result),
-                "contraction_map": {
-                    repr(v): sorted(repr(u) for u in cls)
-                    for v, cls in self.contraction_map.items()
-                },
+        return {
+            "base": graph(self.base),
+            "steps": [{"kind": s.kind, "vertex": repr(s.vertex)} for s in self.steps],
+            "result": graph(self.result),
+            "contraction_map": {
+                repr(v): sorted(repr(u) for u in cls)
+                for v, cls in self.contraction_map.items()
             },
-            indent=2,
-            sort_keys=True,
-        )
+        }
 
 
 class TraceBuilder:
@@ -170,21 +166,17 @@ def is_odd_wheel(g: Graph):
 
 
 @dataclass(frozen=True)
-class OddWheelWitness:
+class OddWheelWitness(JSONData):
     trace: TMinorTrace
     hub: object
     rim: tuple
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "hub": repr(self.hub),
-                "rim": [repr(v) for v in self.rim],
-                "trace": json.loads(self.trace.to_json()),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_data(self) -> dict:
+        return {
+            "hub": repr(self.hub),
+            "rim": [repr(v) for v in self.rim],
+            "trace": self.trace.to_data(),
+        }
 
 
 def verify_odd_wheel_witness(w: OddWheelWitness) -> bool:

@@ -209,19 +209,39 @@ def test_unknown_trace_step_kind_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: unknown step kind")
 
 
-def test_cli_outputs_digests_what_each_subcommand_prints(capsys):
+def test_cli_outputs_digests_what_each_subcommand_prints(capsys, tmp_path):
     tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
     done = subprocess.run(
-        [sys.executable, str(tool), "C5", "W5"], capture_output=True, text=True, timeout=120
+        [sys.executable, str(tool), "C5", "W5", "C7"], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0 and done.stderr == ""
     rows = [line.split() for line in done.stdout.splitlines()]
     commands = ["oddgirth", "chi", "chistar", "tperfect", "hperfect", "hbarperfect",
-                "certify", "oddwheel-witness"]
-    assert [row[:2] for row in rows] == [[c, name] for name in ("C5", "W5") for c in commands]
-    for command, name, digest, code in rows:
-        flags = [] if command == "oddgirth" else ["--json"]
-        got, out, err = run(capsys, command, f"corpus:{name}", *flags)
+                "certify", "oddwheel-witness", "tcontract", "reduce"]
+    assert [row[:2] for row in rows if not row[0].startswith("verify:")] == [
+        [c, name] for name in ("C5", "W5", "C7") for c in commands
+    ]
+    assert {row[0] for row in rows if row[1] == "W5"} >= {
+        "verify:certify/certificate", "verify:oddwheel-witness/trace"
+    }
+    outputs = {}
+    for label, name, digest, code in rows:
+        if label.startswith("verify:"):
+            command, *parts = label.removeprefix("verify:").split("/")
+            data = json.loads(outputs[command, name])
+            for part in parts:
+                data = data[part]
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(data))
+            got, out, err = run(capsys, "verify", f"corpus:{name}", str(path))
+        else:
+            flags = {
+                "oddgirth": [],
+                "tcontract": ["--vertex", repr(make(name).vertices[0]), "--json"],
+                "reduce": ["--ell", "1", "--json"],
+            }.get(label, ["--json"])
+            got, out, err = run(capsys, label, f"corpus:{name}", *flags)
+            outputs[label, name] = out
         assert (digest, code) == (hashlib.sha256((out + err).encode()).hexdigest(), str(got))
 
 
@@ -335,11 +355,17 @@ def test_corpus_commands(capsys):
     assert code == 0 and out.strip()
 
 
-def test_error_and_usage_codes(capsys):
+def test_error_and_usage_codes(capsys, tmp_path):
     code, _, err = run(capsys, "chi", "corpus:nosuchgraph")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "chi", "/nonexistent/file")
     assert code == 2
+    # input that is not UTF-8 text (here a UTF-16 byte-order mark first)
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe3\x00 \x002\x00")
+    for argv in (["oddgirth", str(path)], ["certify", "--batch", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: cannot read {path}: not UTF-8 text\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
     assert exc.value.code == 64
@@ -415,6 +441,16 @@ def _rope_of_unknown_kind(capsys):
     return json.dumps(rope)
 
 
+def _witness_labelled_colouring(capsys):
+    data = _k4_certificate(capsys, "certify")
+    data["kind"] = "colouring"
+    return json.dumps(data)
+
+
+def _envelope_of_unknown_kind(capsys):
+    return json.dumps({"kind": "bogus", "certificate": _k4_certificate(capsys, "certify")})
+
+
 @pytest.mark.parametrize(
     "command, make_text",
     [
@@ -432,6 +468,9 @@ def _rope_of_unknown_kind(capsys):
         ("verify", _rope_with_empty_path),
         ("rope verify", _rope_with_empty_path),
         ("rope verify", _rope_of_unknown_kind),
+        ("verify", lambda capsys: b"\xff\xfe{\x00}\x00"),
+        ("verify", _witness_labelled_colouring),
+        ("verify", _envelope_of_unknown_kind),
     ],
     ids=[
         "point-missing-key",
@@ -448,12 +487,16 @@ def _rope_of_unknown_kind(capsys):
         "verify-rope-empty-path",
         "rope-empty-path",
         "rope-unknown-kind",
+        "certificate-not-utf8",
+        "envelope-kind-contradicts-body",
+        "envelope-kind-unknown",
     ],
 )
 def test_malformed_certificates_are_usage_errors(capsys, tmp_path, command, make_text):
     path = tmp_path / "cert.json"
     if make_text is not None:
-        path.write_text(make_text(capsys))
+        text = make_text(capsys)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, *command.split(), "corpus:K4", str(path))
     assert code == 2
     assert out == ""
@@ -469,3 +512,27 @@ def test_oddwheel_witness_rejects_negative_budget(capsys):
         assert "budget" in capsys.readouterr().err
     code, out, _ = run(capsys, "oddwheel-witness", "corpus:moebius8", "--budget=0")
     assert code == 1 and out.strip() == "none"
+
+
+def test_assembled_json_outputs_pinned(capsys, tmp_path):
+    # one sha256 over the stdout and exit code of the subcommands whose JSON
+    # nests one part inside another, recorded before they were built as data
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(f"corpus:{n}\n" for n in ("C5", "K4", "W5", "fig1b", "moebius8")))
+    calls = [["certify", "--batch", str(batch), *flags] for flags in ([], ["--json"])]
+    for name, vertex in (("C7", "0"), ("petersen", "0"), ("grotzsch", "(0, 0)"), ("moebius8", "0")):
+        calls += [["tcontract", f"corpus:{name}", "--vertex", vertex, *f] for f in ([], ["--json"])]
+    for name in ("C7", "petersen", "grotzsch", "fig1b", "moebius8"):
+        calls += [["reduce", f"corpus:{name}", "--ell", ell, "--json"] for ell in ("1", "2")]
+    digest = hashlib.sha256()
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    for r in ("2", "3", "4"):
+        code, out, _ = run(capsys, "rope", "generate", r, "7", "8")
+        digest.update(f"{code}\n{out}".encode())
+        host = tmp_path / f"host{r}.json"
+        host.write_text(json.dumps(json.loads(out)["graph"]))
+        code, out, _ = run(capsys, "rope", "find", str(host), "--r", r)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "0f92a0d7086c826a9a58b4eeb49ba6fabf85f7490085e841867e88662d927415"

@@ -5,11 +5,17 @@
 NAME is anything ``tperfect.corpus.make`` accepts (``C7``, ``W17``, ...);
 with no names, every corpus graph.  For each graph and each subcommand
 (``oddgirth``; ``chi``, ``chistar``, ``tperfect``, ``hperfect``,
-``hbarperfect``, ``certify`` and ``oddwheel-witness`` with ``--json``) it
-prints one line: the subcommand, the graph, the sha256 of its standard
-output followed by its standard error, and its exit code.  The library is
-imported from this checkout's ``src``, so two checkouts compare by a
-``diff`` of their outputs.  Run both under the same PYTHONHASHSEED.
+``hbarperfect``, ``certify`` and ``oddwheel-witness`` with ``--json``;
+``tcontract --vertex V --json`` at the graph's first vertex V and
+``reduce --ell 1 --json``) it prints one line: the subcommand, the graph,
+the sha256 of its standard output followed by its standard error, and its
+exit code.  Every certificate a subcommand prints is written to a file and
+given to ``verify``, and so are its nested ``certificate`` and ``trace``
+parts; those lines name the subcommand as ``verify:certify``,
+``verify:certify/certificate``, ``verify:certify/certificate/trace``, ...
+The library is imported from this checkout's ``src``, so two checkouts
+compare by a ``diff`` of their outputs.  Run both under the same
+PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -38,7 +46,7 @@ COMMANDS = (
 
 
 def run(argv: list) -> tuple:
-    """Exit code and stdout + stderr of one CLI call, each call seeing its
+    """Exit code, stdout and stderr of one CLI call, each call seeing its
     warnings as a fresh process would."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -47,15 +55,39 @@ def run(argv: list) -> tuple:
             code = cli.main(argv)
         except SystemExit as e:
             code = e.code
-    return code, out.getvalue() + err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def report(label: str, name: str, argv: list) -> str:
+    """Run one call, print its line and return its standard output."""
+    code, out, err = run(argv)
+    print(label, name, hashlib.sha256((out + err).encode()).hexdigest(), code)
+    return out
+
+
+def verify(label: str, name: str, data, path: Path) -> None:
+    """If data is a JSON object, print the line of ``verify`` on it, then
+    recurse into its ``certificate`` and ``trace`` parts."""
+    if not isinstance(data, dict):
+        return
+    path.write_text(json.dumps(data))
+    report(f"verify:{label}", name, ["verify", f"corpus:{name}", str(path)])
+    for part in ("certificate", "trace"):
+        verify(f"{label}/{part}", name, data.get(part), path)
 
 
 def main(names: list) -> int:
-    for name in names or corpus.corpus_names():
-        for command in COMMANDS:
-            code, text = run([command[0], f"corpus:{name}", *command[1:]])
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            print(command[0], name, digest, code)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "certificate.json"
+        for name in names or corpus.corpus_names():
+            g = f"corpus:{name}"
+            for command in COMMANDS:
+                out = report(command[0], name, [command[0], g, *command[1:]])
+                if out.startswith("{"):
+                    verify(command[0], name, json.loads(out), path)
+            first = repr(corpus.make(name).vertices[0])
+            report("tcontract", name, ["tcontract", g, "--vertex", first, "--json"])
+            report("reduce", name, ["reduce", g, "--ell", "1", "--json"])
     return 0
 
 
