@@ -4,6 +4,7 @@ the certifying pipeline that either colours a graph or refutes t-perfection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -102,26 +103,6 @@ def verify_fractional_colouring(g: Graph, fc: FractionalColouring) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_dsatur(g: Graph):
-    """DSATUR greedy colouring; returns (k, assignment)."""
-    assignment = {}
-    saturation = {v: set() for v in g.vertices}
-    # g.vertices is in label_key order, so its index breaks ties the same way
-    tie = {v: (-g.degree(v), i) for i, v in enumerate(g.vertices)}
-    uncoloured = set(g.vertices)
-    while uncoloured:
-        v = min(uncoloured, key=lambda u: (-len(saturation[u]), tie[u]))
-        c = 0
-        while c in saturation[v]:
-            c += 1
-        assignment[v] = c
-        uncoloured.remove(v)
-        for w in g.neighbours(v):
-            saturation[w].add(c)
-    k = (max(assignment.values()) + 1) if assignment else 0
-    return k, assignment
-
-
 def _greedy_clique(g: Graph) -> frozenset:
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), label_key(v)))
     clique = []
@@ -134,50 +115,71 @@ def _greedy_clique(g: Graph) -> frozenset:
 def chi_exact(g: Graph):
     """Exact chromatic number with a witness colouring.
 
-    Branch and bound over DSATUR orderings: at each step branch on a vertex
-    of maximum saturation, trying existing colours and at most one new one.
+    One DSATUR branch and bound (Brelaz, CACM 1979).  A node branches on
+    the uncoloured vertex of largest saturation (the number of distinct
+    colours on its coloured neighbours), then largest degree, then first
+    in label order, and tries the colours 0, 1, ... that no neighbour has,
+    up to one new colour.  A branch whose colour count would reach the
+    best count found so far is cut, and the search ends once that count
+    is the size of a greedy clique, which no colouring can beat.
+
+    The search starts with no bound, so its first descent never
+    backtracks: each vertex takes the least colour that no neighbour has,
+    which lies in 0..used since only used colours are on them.  That first
+    leaf is the greedy DSATUR colouring for the same vertex rule, say with
+    k colours.  A search started from it as the best colouring, with bound
+    k, follows the same path down to the first vertex that greedy gives
+    colour k - 1; every colour below k - 1 is on a neighbour there, so it
+    tries nothing and backs up.  This search, below that vertex, meets
+    only counts of k, all cut once the bound is k, so it also backs up
+    from there, with the same best colouring and bound, and from then on
+    both take the same steps.  A leaf replaces the best only when it has
+    fewer colours, so both return the first colouring of fewest colours
+    in this order; ending at the clique size drops none of them.
     """
     if g.n > COMBINATORIAL_CAP:
         raise CapExceededError(f"chi_exact capped at {COMBINATORIAL_CAP} vertices")
-    if g.n == 0:
-        return 0, Colouring({}, 0)
-
-    ub, best_assignment = _greedy_dsatur(g)
+    vertices = g.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    nbrs = [[index[w] for w in g.neighbours(v)] for v in vertices]
+    # largest degree first, then label order: max() returns the first
+    # vertex of largest saturation in it
+    order = sorted(range(g.n), key=lambda i: -len(nbrs[i]))
     lb = len(_greedy_clique(g))
-    if lb == ub:
-        col = Colouring(dict(best_assignment), ub)
-        verify_colouring(g, col)
-        return ub, col
+    colour = [None] * g.n
+    # seen[i]: colour -> number of neighbours of i with it, for colours on them
+    seen = [{} for _ in vertices]
+    path = []
+    best = (math.inf, None)
 
-    vertices = list(g.vertices)
-    best = {"k": ub, "assignment": dict(best_assignment)}
+    def paint(i, c, step):
+        colour[i] = c if step == 1 else None
+        for j in nbrs[i]:
+            count = seen[j].get(c, 0) + step
+            if count:
+                seen[j][c] = count
+            else:
+                del seen[j][c]
 
-    def search(assignment, used):
+    def search(used):
         nonlocal best
-        if used >= best["k"]:
+        if len(path) == g.n:
+            best = (used, {vertices[i]: colour[i] for i in path})
             return
-        if len(assignment) == len(vertices):
-            best = {"k": used, "assignment": dict(assignment)}
-            return
-        # pick the uncoloured vertex with maximum saturation
-        cand, cand_sat = None, None
-        for v in vertices:
-            if v in assignment:
-                continue
-            sat = {assignment[w] for w in g.neighbours(v) if w in assignment}
-            key = (len(sat), g.degree(v))
-            if cand is None or key > cand_sat:
-                cand, cand_sat, cand_colours = v, key, sat
-        for c in range(min(used + 1, best["k"] - 1)):
-            if c in cand_colours:
-                continue
-            assignment[cand] = c
-            search(assignment, max(used, c + 1))
-            del assignment[cand]
+        i = max((j for j in order if colour[j] is None), key=lambda j: len(seen[j]))
+        for c in range(used + 1):
+            if max(used, c + 1) >= best[0] or best[0] == lb:
+                return
+            if c not in seen[i]:
+                path.append(i)
+                paint(i, c, 1)
+                search(max(used, c + 1))
+                paint(i, c, -1)
+                path.pop()
 
-    search({}, 0)
-    k = best["k"]
-    col = Colouring(best["assignment"], k)
+    search(0)
+    k, assignment = best
+    col = Colouring(assignment, k)
     verify_colouring(g, col)
     return k, col
 
@@ -265,9 +267,11 @@ def reduce_odd_girth(g: Graph, ell: int) -> frozenset:
 
     Returns S stable with |S| >= ell*|V|/(2*ell+1) and odd girth of g - S at
     least 2*ell+3.  S is the largest support set of an optimal fractional
-    colouring.  Postconditions are always verified; a failure (possible only
-    on inputs that are not t-perfect) raises VerificationError carrying a
-    violating odd cycle.
+    colouring.  S is stable without a check here: it is a set of the
+    fractional colouring of g that ``chi_fractional`` has just verified,
+    every set stable.  The other two postconditions are always verified; a
+    failure (possible only on inputs that are not t-perfect) raises
+    VerificationError carrying a violating odd cycle.
     """
     if ell < 1:
         raise PreconditionError("ell must be a positive integer")
@@ -277,8 +281,6 @@ def reduce_odd_girth(g: Graph, ell: int) -> frozenset:
     if og < 2 * ell + 1:
         raise PreconditionError(f"odd girth {og} below 2*ell+1 = {2 * ell + 1}")
     s = _largest_support_set(g)
-    if not is_stable(g, s):
-        raise VerificationError("reduction set not stable", detail={"set": s})
     if Fraction(len(s)) < Fraction(ell * g.n, 2 * ell + 1):
         raise VerificationError(
             "reduction set too small",

@@ -120,14 +120,26 @@ class Graph:
         for v in keep:
             if v not in self._adj:
                 raise UnknownVertexError(f"unknown vertex {v!r}")
-        return Graph(keep, [(u, v) for u, v in self._edges if u in keep and v in keep])
+        return self._derived(keep)
 
     def delete_vertices(self, drop: Iterable[Vertex]) -> "Graph":
         drop = set(drop)
         for v in drop:
             if v not in self._adj:
                 raise UnknownVertexError(f"unknown vertex {v!r}")
-        return self.induced_subgraph(set(self._vertices) - drop)
+        return self._derived(self._adj.keys() - drop)
+
+    def _derived(self, keep: set) -> "Graph":
+        """g[keep] for a set of vertices of g, without __init__: the parent's
+        label-ordered vertex and edge tuples stay ordered when filtered, and
+        its adjacency is already checked, so nothing is validated or sorted
+        again."""
+        g = Graph.__new__(Graph)
+        g._vertices = tuple(v for v in self._vertices if v in keep)
+        g._edges = tuple(e for e in self._edges if e[0] in keep and e[1] in keep)
+        g._adj = {v: self._adj[v] & keep for v in g._vertices}
+        g._odd_cycle = _UNKNOWN
+        return g
 
     def to_networkx(self) -> nx.Graph:
         g = nx.Graph()
@@ -141,70 +153,59 @@ class Graph:
 
     # -- traversal ---------------------------------------------------------
 
-    def bfs_distances(self, root) -> dict:
-        """Distances from ``root`` within its component."""
+    def bfs_levels(self, root, depth=math.inf):
+        """Yield the BFS levels of root's component as frozensets: level i
+        holds the vertices at distance i from root, for i up to depth."""
         if root not in self._adj:
             raise UnknownVertexError(f"unknown vertex {root!r}")
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        level = frozenset([root])
+        seen = set(level)
+        while depth >= 0 and level:
+            yield level
+            depth -= 1
+            if depth >= 0:
+                level = frozenset().union(*(self._adj[u] for u in level)) - seen
+                seen |= level
+
+    def bfs_distances(self, root) -> dict:
+        """Distances from ``root`` within its component."""
+        return {v: d for d, level in enumerate(self.bfs_levels(root)) for v in level}
 
     def connected_components(self) -> list:
         seen = set()
         comps = []
         for v in self._vertices:
-            if v in seen:
-                continue
-            comp = set(self.bfs_distances(v))
-            seen |= comp
-            comps.append(frozenset(comp))
+            if v not in seen:
+                comp = frozenset().union(*self.bfs_levels(v))
+                seen |= comp
+                comps.append(comp)
         return comps
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
 
     def bipartition(self):
-        """Return (A, B) sides of a 2-colouring, or None if not bipartite."""
-        colour = two_colouring(self._adj, self._vertices)
-        if colour is None:
-            return None
-        a = frozenset(v for v, c in colour.items() if c == 0)
-        b = frozenset(v for v, c in colour.items() if c == 1)
-        return a, b
+        """Return (A, B) sides of a 2-colouring, or None if not bipartite.
+
+        A holds the even BFS levels of every component, levelled from its
+        least vertex, and B the odd ones.  An edge joins two vertices of
+        one level or of consecutive levels, so the graph is bipartite
+        exactly when no edge joins two vertices of one level; such an edge
+        closes an odd cycle, and the answer is None as soon as one
+        appears."""
+        sides = (set(), set())
+        for v in self._vertices:
+            if v in sides[0] or v in sides[1]:
+                continue
+            for d, level in enumerate(self.bfs_levels(v)):
+                if any(not self._adj[u].isdisjoint(level) for u in level):
+                    return None
+                sides[d % 2].update(level)
+        return frozenset(sides[0]), frozenset(sides[1])
 
     def ball(self, v, r: int) -> frozenset:
         """Closed ball: all vertices at distance at most r from v."""
-        dist = self.bfs_distances(v)
-        return frozenset(u for u, d in dist.items() if d <= r)
-
-
-def two_colouring(adj: dict, roots: Iterable[Vertex]):
-    """Colour 0 or 1 for every vertex of the adjacency map ``adj`` (vertex ->
-    set of neighbours) so that adjacent vertices differ, or None when some
-    component has an odd cycle.  Each component is coloured by BFS from the
-    first of ``roots`` in it, which gets colour 0; ``roots`` must meet every
-    component."""
-    colour = {}
-    for root in roots:
-        if root in colour:
-            continue
-        colour[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in colour:
-                    colour[w] = 1 - colour[u]
-                    queue.append(w)
-                elif colour[w] == colour[u]:
-                    return None
-    return colour
+        return frozenset().union(*self.bfs_levels(v, r))
 
 
 @dataclass(frozen=True)
@@ -220,9 +221,8 @@ class Levelling:
 
 
 def bfs_levelling(g: Graph, root) -> Levelling:
-    level = g.bfs_distances(root)
-    depth = max(level.values())
-    levels = tuple(frozenset(v for v, d in level.items() if d == i) for i in range(depth + 1))
+    levels = tuple(g.bfs_levels(root))
+    level = {v: d for d, vs in enumerate(levels) for v in vs}
     return Levelling(levels=levels, level=level)
 
 

@@ -8,7 +8,7 @@ answers come with a machine-checked fractional vertex witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -53,12 +53,8 @@ def all_stable_sets(g: Graph) -> list:
 
 
 def maximal_stable_sets(g: Graph) -> list:
-    """Inclusion-maximal stable sets, via cliques of the complement."""
-    comp = nx.complement(g.to_networkx())
-    return sorted(
-        (frozenset(c) for c in nx.find_cliques(comp)),
-        key=lambda s: tuple(label_key(v) for v in sorted(s, key=label_key)),
-    )
+    """Inclusion-maximal stable sets: the maximal cliques of the complement."""
+    return maximal_cliques(complement_graph(g))
 
 
 def maximal_cliques(g: Graph) -> list:
@@ -150,7 +146,7 @@ class ImperfectionWitness(JSONData):
     """A fractional vertex of a relaxation, proving it exceeds the stable
     set polytope.  ``point`` is given in the coordinate order ``order``."""
 
-    relaxation: str  # "tstab" or "hstab"
+    relaxation: str  # "tstab", "hstab", or "hbarstab" (hstab of the complement)
     order: tuple
     point: tuple  # QVec of Fractions
     tight_tags: tuple  # (tag, source) of each inequality tight at the point
@@ -177,28 +173,37 @@ def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
     certificate's ``tight`` list names exactly the rows of P tight at the
     point, in P's row order, it is a vertex of P (those tight rows have full
     rank), and it has a non-integral coordinate.  Raises VerificationError
-    naming the first violated clause.  A relaxation other than "tstab" and
-    "hstab" makes the certificate malformed, not false: PreconditionError.
+    naming the first violated clause.  P is tstab(g) or hstab(g), or for
+    "hbarstab" hstab of the complement of g, the polytope of
+    ``is_hbar_perfect``'s witnesses.  Any other relaxation makes the
+    certificate malformed, not false: PreconditionError.
 
     Together these prove that the point lies outside the stable set polytope
-    STAB(g).  Every row of ``tstab`` and ``hstab`` is valid for the incidence
-    vectors of stable sets, so STAB(g) is contained in P.  A point of STAB(g)
-    is a convex combination of such 0/1 vectors, all of them points of P; a
-    vertex of P is a convex combination of points of P only trivially, so a
-    vertex of P in STAB(g) would be one of those 0/1 vectors, and integral.
+    of P's graph H, g or its complement.  Every row of ``tstab`` and
+    ``hstab`` is valid for the incidence vectors of stable sets, so STAB(H)
+    is contained in P.  A point of STAB(H) is a convex combination of such
+    0/1 vectors, all of them points of P; a vertex of P is a convex
+    combination of points of P only trivially, so a vertex of P in STAB(H)
+    would be one of those 0/1 vectors, and integral.  Each row's slack at
+    the point is computed once and serves the first two clauses.
     """
     if w.relaxation == "tstab":
         p = tstab(g)
     elif w.relaxation == "hstab":
         p = hstab(g)
+    elif w.relaxation == "hbarstab":
+        p = hstab(complement_graph(g))
     else:
         raise PreconditionError(f"unknown relaxation {w.relaxation!r}")
     if tuple(w.order) != vertex_order(g):
         raise VerificationError("witness coordinate order mismatch")
     x = qvec(w.point)
-    if not p.contains(x):
+    if len(x) != p.dim:
+        raise PreconditionError("point dimension mismatch")
+    slack = [i.rhs - i.evaluate(x) for i in p.inequalities]
+    if any(s < 0 for s in slack):
         raise VerificationError("witness point violates the relaxation", detail={"point": x})
-    tight = p.tight_inequalities(x)
+    tight = [i for i, s in zip(p.inequalities, slack) if s == 0]
     if tuple(w.tight_tags) != tuple((i.tag, i.source) for i in tight):
         raise VerificationError("witness tight list does not match the rows tight at the point")
     if _rank([list(i.coeffs) for i in tight]) != p.dim:
@@ -333,6 +338,9 @@ def complement_graph(g: Graph) -> Graph:
 
 
 def is_hbar_perfect(g: Graph):
-    """Test of the complement graph against the clique/odd-cycle relaxation.
-    The witness, if any, lives in the complement."""
-    return is_h_perfect(complement_graph(g))
+    """Exact test whether the complement of g is h-perfect.  The witness,
+    if any, is ``is_h_perfect``'s on the complement, named "hbarstab" so
+    that ``verify_witness`` checks it on g against the complement's
+    relaxation."""
+    ok, w = is_h_perfect(complement_graph(g))
+    return ok, None if w is None else replace(w, relaxation="hbarstab")

@@ -238,11 +238,13 @@ def verify_rope(g: Graph, rope) -> bool:
             raise VerificationError("chosen paths are not internally disjoint", detail={"choice": h})
         clause = "induced cycle clause violated" if closed else "induced path clause violated"
         raise VerificationError(clause, detail={"choice": h, "sequence": seq})
+    # the paths join consecutive anchors, so b is at distance >= 5 from a
+    # unless it lies in a's depth-4 ball, at the distance of its level
     for i, a in enumerate(anchors):
-        dist = g.bfs_distances(a)
+        near = list(g.bfs_levels(a, 4))
         for b in anchors[i + 1 :]:
-            d = dist.get(b)
-            if d is None or d < 5:
+            d = next((d for d, level in enumerate(near) if b in level), None)
+            if d is not None:
                 raise VerificationError(
                     "anchor distance clause violated",
                     detail={"pair": (a, b), "distance": d},
@@ -530,8 +532,7 @@ def audit_induction_step(g: Graph, b_set, c_set, q, c: int, res: InductionResult
                 "clause 6: C' not anticomplete to the paths minus q'",
                 detail={"vertex": w, "touches": bad},
             )
-    dist = g.bfs_distances(q)
-    if min((dist.get(w, 10**9) for w in cp | {qp}), default=10**9) < 5:
+    if g.ball(q, 4) & (cp | {qp}):
         raise VerificationError("clause 7: q too close to C' + q'")
     for path, parity, name in ((q0, 0, "Q_0"), (q1, 1, "Q_1")):
         if path[0] != q or path[-1] != qp:
@@ -931,16 +932,8 @@ def _close_broken_rope(g, broken: BrokenRopeResult, levels, s, q1) -> Arithmetic
     rope = broken.rope
     end = rope.end
     anchors = rope.anchors
-    dist_to_anchors = {a: g.bfs_distances(a) for a in anchors}
-    x = min(
-        (
-            v
-            for v in broken.c_prime
-            if all(dist_to_anchors[a].get(v, 10**9) >= 5 for a in anchors)
-        ),
-        key=label_key,
-        default=None,
-    )
+    near = frozenset().union(*(g.ball(a, 4) for a in anchors))
+    x = min(broken.c_prime - near, key=label_key, default=None)
     if x is None:
         raise VerificationError(
             "rope pipeline: no deep vertex far from all anchors",

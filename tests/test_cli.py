@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tperfect import cli
-from tperfect.corpus import make
+from tperfect.corpus import corpus_names, make
 from tperfect.graphio import serialize_graph
 from tperfect.graphs import Graph
 from tperfect.ropes import generate_rope_shell
@@ -243,6 +243,26 @@ def test_cli_outputs_digests_what_each_subcommand_prints(capsys, tmp_path):
             got, out, err = run(capsys, label, f"corpus:{name}", *flags)
             outputs[label, name] = out
         assert (digest, code) == (hashlib.sha256((out + err).encode()).hexdigest(), str(got))
+
+
+@pytest.mark.parametrize(
+    "command", ["chi", "chistar", "tperfect", "hperfect", "hbarperfect", "certify", "oddwheel-witness"]
+)
+def test_verify_accepts_every_printed_certificate(capsys, tmp_path, command):
+    # on every corpus graph, the certificate a subcommand prints with --json
+    # and its nested certificate and trace parts all pass verify on that graph
+    path = tmp_path / "cert.json"
+    checked = 0
+    for name in corpus_names():
+        _, out, _ = run(capsys, command, f"corpus:{name}", "--json")
+        parts = [json.loads(out)] if out.startswith("{") else []
+        while parts:
+            data = parts.pop()
+            path.write_text(json.dumps(data))
+            assert run(capsys, "verify", f"corpus:{name}", str(path)) == (0, "certificate verified\n", ""), name
+            parts += [data[k] for k in ("certificate", "trace") if isinstance(data.get(k), dict)]
+            checked += 1
+    assert checked
 
 
 def test_fractional_set_outside_the_graph_is_rejected(capsys, tmp_path):

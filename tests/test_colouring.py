@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -179,3 +180,39 @@ def test_hbar_colour():
 def test_clique_number():
     assert clique_number(complete(5)) == 5
     assert clique_number(make("petersen")) == 2
+
+
+def _chi_exact_batch(monkeypatch):
+    """(name, graph) pairs: the corpus, fig1a and fig1b minus each vertex,
+    every graph find_rope colours on the layered fixture, C511 and P512 (the
+    last two at or next to the largest size chi_exact accepts, so its search
+    recurses about 512 deep)."""
+    import tperfect.ropes as ropes
+    from conftest import layered_instance
+    from tperfect.corpus import corpus_names
+    from tperfect.graphs import Graph
+
+    batch = [(name, make(name)) for name in corpus_names()]
+    for name in ("fig1a", "fig1b"):
+        g = make(name)
+        batch += [(f"{name}-{v!r}", g.delete_vertices([v])) for v in g.vertices]
+    seen = []
+    real = ropes.chi_exact
+    monkeypatch.setattr(ropes, "chi_exact", lambda h: seen.append(h) or real(h))
+    g = layered_instance()[0]
+    ropes.find_rope(g, frozenset(g.vertices), 2, c=0)
+    batch += [(f"find_rope-{i}", h) for i, h in enumerate(seen)]
+    batch.append(("C511", cycle(511)))
+    batch.append(("P512", Graph(range(512), [(i, i + 1) for i in range(511)])))
+    return batch
+
+
+def test_chi_exact_colourings_pinned(monkeypatch):
+    # sha256 of chi_exact(g)[1].to_json() over the batch above, recorded
+    # while chi_exact still ran a greedy DSATUR before its branch and bound
+    batch = _chi_exact_batch(monkeypatch)
+    assert len(batch) == 27 + 9 + 10 + 23 + 2
+    h = hashlib.sha256()
+    for name, g in batch:
+        h.update(f"{name} {chi_exact(g)[1].to_json()}\n".encode())
+    assert h.hexdigest() == "a9375ee4209fbd1a570376a1e5429197966d8077226929b6785bc77b94ee84eb"

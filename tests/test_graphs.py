@@ -191,6 +191,68 @@ def test_induced_predicates_match_pairwise_definitions(drawn):
         assert is_cycle_induced(g, seq) == cyc
 
 
+_LABELS = (
+    lambda i: i,
+    lambda i: f"v{i}",
+    lambda i: ("t", i % 3, i),
+    lambda i: (i, f"s{i}", ("m", i))[i % 3],
+)
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """A graph on at most 12 vertices with mixed labels, often disconnected
+    and sometimes bipartite, and two subsets of its vertex set."""
+    n = draw(st.integers(0, 12))
+    label = draw(st.sampled_from(_LABELS))
+    bipartite = draw(st.booleans())
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if not bipartite or (u - v) % 2]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    drop = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    g = Graph(map(label, range(n)), [(label(u), label(v)) for u, v in edges])
+    return g, {label(v) for v in range(n) if keep[v]}, {label(v) for v in range(n) if drop[v]}
+
+
+def _from_scratch(g, keep):
+    """g[keep] built by __init__ from the vertices and edges listed backwards."""
+    edges = [(v, u) for u, v in reversed(g.edges()) if u in keep and v in keep]
+    return Graph([v for v in reversed(g.vertices) if v in keep], edges)
+
+
+def _same_graph(h, ref):
+    assert h.vertices == ref.vertices and h.edges() == ref.edges()
+    assert h == ref and hash(h) == hash(ref)
+
+
+@given(graphs_with_subsets())
+def test_derived_graphs_and_traversal_match_scratch_and_networkx(drawn):
+    g, keep, drop = drawn
+    h = g.induced_subgraph(keep)
+    _same_graph(h, _from_scratch(g, keep))
+    rest = set(g.vertices) - drop
+    _same_graph(g.delete_vertices(drop), _from_scratch(g, rest))
+    _same_graph(h.delete_vertices(drop & keep), _from_scratch(g, keep - drop))
+    for graph in (g, h):
+        ref = graph.to_networkx()
+        for v in graph.vertices:
+            dist = nx.single_source_shortest_path_length(ref, v)
+            assert graph.bfs_distances(v) == dist
+            for r in range(-1, 4):
+                assert graph.ball(v, r) == {u for u, d in dist.items() if d <= r}
+        comps = sorted(nx.connected_components(ref), key=lambda c: label_key(min(c, key=label_key)))
+        assert graph.connected_components() == comps
+        sides = graph.bipartition()
+        assert (sides is not None) == nx.is_bipartite(ref)
+        if sides is not None:
+            # the least vertex of each component is on side A
+            parity = {}
+            for comp in comps:
+                root = min(comp, key=label_key)
+                parity.update((u, d % 2) for u, d in nx.single_source_shortest_path_length(ref, root).items())
+            assert sides == tuple(frozenset(u for u in graph.vertices if parity[u] == i) for i in (0, 1))
+
+
 def test_label_key_total_order():
     labels = [0, 1, "a", ("a", 1), ("b",), True]
     ordered = sorted(labels, key=label_key)
