@@ -46,9 +46,6 @@ class Inequality:
     def evaluate(self, x: QVec) -> Rational:
         return sum(c * v for c, v in zip(self.coeffs, x))
 
-    def satisfied_by(self, x: QVec) -> bool:
-        return self.evaluate(x) <= self.rhs
-
     def tight_at(self, x: QVec) -> bool:
         return self.evaluate(x) == self.rhs
 
@@ -62,11 +59,6 @@ class HPolytope:
         for ineq in self.inequalities:
             if len(ineq.coeffs) != self.dim:
                 raise PreconditionError("inequality dimension mismatch")
-
-    def contains(self, x: QVec) -> bool:
-        if len(x) != self.dim:
-            raise PreconditionError("point dimension mismatch")
-        return all(ineq.satisfied_by(x) for ineq in self.inequalities)
 
     def tight_inequalities(self, x: QVec) -> tuple:
         return tuple(ineq for ineq in self.inequalities if ineq.tight_at(x))

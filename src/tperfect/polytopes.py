@@ -231,20 +231,22 @@ def t_perfect_by_theorem(g: Graph) -> bool:
     return cycle is None or any(g.delete_vertices([v]).bipartition() is not None for v in cycle)
 
 
-def _first_fractional_vertex(g: Graph, build) -> Optional[tuple]:
-    """The lexicographically first fractional vertex of build(g), or None.
-    It is (0, the first fractional vertex of build(g - v1)) when g - v1 has
-    one, v1 being the least vertex; only otherwise does the double
-    description run on g itself."""
+def _first_fractional_vertex(g: Graph, build) -> tuple:
+    """(x, p): x is the lexicographically first fractional vertex of
+    build(g), or None.  It is (0, the first fractional vertex of
+    build(g - v1)) when g - v1 has one, v1 being the least vertex, and p is
+    then None; only otherwise does the double description run on g itself,
+    and p is the build(g) it ran on."""
     if t_perfect_by_theorem(g):
-        return None
-    face = _first_fractional_vertex(g.delete_vertices(g.vertices[:1]), build)
+        return None, None
+    face, _ = _first_fractional_vertex(g.delete_vertices(g.vertices[:1]), build)
     if face is not None:
-        return (Fraction(0),) + face
-    for x in enumerate_vertices(build(g)).vertices:  # lexicographic order
+        return (Fraction(0),) + face, None
+    p = build(g)
+    for x in enumerate_vertices(p).vertices:  # lexicographic order
         if any(c.denominator != 1 for c in x):
-            return x
-    return None
+            return x, p
+    return None, p
 
 
 def _fractional_witness(g: Graph, relaxation: str, build) -> Optional[ImperfectionWitness]:
@@ -279,21 +281,28 @@ def _fractional_witness(g: Graph, relaxation: str, build) -> Optional[Imperfecti
     and any other is refused.  The G - v test is left out there: it
     searches a shortest odd cycle and rebuilds g without each vertex of it,
     up to O(n(n + m)), and every graph it does not settle is refused
-    anyway."""
+    anyway.
+
+    The witness lists the rows of build(g) tight at the vertex, taken from
+    the polytope the double description ran on when that was build(g);
+    only a vertex found in a face needs build(g) once more.  The verifier
+    builds its own relaxation all the same."""
     if g.n > POLYTOPE_DIM_CAP:
         if not has_k4_minor(g):
             return None
         raise CapExceededError(
             f"vertex enumeration capped at dimension {POLYTOPE_DIM_CAP}, got {g.n}"
         )
-    x = _first_fractional_vertex(g, build)
+    x, p = _first_fractional_vertex(g, build)
     if x is None:
         return None
+    if p is None:
+        p = build(g)
     w = ImperfectionWitness(
         relaxation=relaxation,
         order=vertex_order(g),
         point=x,
-        tight_tags=tuple((i.tag, i.source) for i in build(g).tight_inequalities(x)),
+        tight_tags=tuple((i.tag, i.source) for i in p.tight_inequalities(x)),
     )
     verify_witness(g, w)
     return w

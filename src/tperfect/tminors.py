@@ -326,6 +326,16 @@ def _bits(mask: int) -> list:
     return out
 
 
+class _BitsMemo(dict):
+    """mask -> _bits(mask), computed on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> list:
+        out = self[mask] = _bits(mask)
+        return out
+
+
 class _WLKey:
     """Two rounds of Weisfeiler-Lehman colour refinement on degree labels,
     as a 16-byte digest.  A graph is given as ``nb``, a list of neighbour
@@ -352,7 +362,8 @@ class _WLKey:
     So a sorted tuple of s1 ids stands for exactly one multiset of s1
     strings, and s2 ids are in bijection with s2 values.  The sorted s2 ids
     over V are then the counts of s2 written out, and their fixed-width
-    bytes tell different lists apart.
+    bytes tell different lists apart.  ``bits`` keeps the set bits of each
+    neighbour mask met, since most masks recur from graph to graph.
 
     Two graphs get equal keys iff networkx >= 3.5 gives them equal
     ``weisfeiler_lehman_graph_hash`` values (default 3 iterations, no
@@ -372,16 +383,17 @@ class _WLKey:
     the key.
     """
 
-    __slots__ = ("s1", "s2", "memo")
+    __slots__ = ("s1", "s2", "memo", "bits")
 
     def __init__(self):
         self.s1 = {}  # s1 string -> id
         self.s2 = {}  # (s1 id, *sorted s1 ids over the neighbours) -> id
         self.memo = {}  # sorted neighbour degrees -> s1 id
+        self.bits = _BitsMemo()  # neighbour mask -> _bits(mask)
 
     def __call__(self, nb: list, vs: list) -> bytes:
-        memo, s1, s2 = self.memo, self.s1, self.s2
-        ns = [_bits(nb[v]) for v in vs]
+        memo, s1, s2, bits = self.memo, self.s1, self.s2, self.bits
+        ns = [bits[nb[v]] for v in vs]
         deg = [m.bit_count() for m in nb]
         id1 = [0] * len(nb)
         for v, ws in zip(vs, ns):
@@ -419,8 +431,9 @@ def _has_odd_cycle(nb: list, alive: int) -> bool:
 
 
 def _child(nb: list, alive: int, kind: str, v: int):
-    """The neighbour masks and alive mask after one step at v, or None for
-    a contraction whose neighbourhood is not stable.  A contraction merges
+    """The neighbour masks and alive mask after one step at v, and the mask
+    of the indices whose neighbour masks may differ from nb; or None for a
+    contraction whose neighbourhood is not stable.  A contraction merges
     N[v] into its least index."""
     child = nb[:]
     ns = nb[v]
@@ -428,7 +441,7 @@ def _child(nb: list, alive: int, kind: str, v: int):
         for u in _bits(ns):
             child[u] = nb[u] ^ (1 << v)
         child[v] = 0
-        return child, alive ^ (1 << v)
+        return child, alive ^ (1 << v), ns | (1 << v)
     outside = 0
     for u in _bits(ns):
         if nb[u] & ns:
@@ -442,7 +455,7 @@ def _child(nb: list, alive: int, kind: str, v: int):
     for u in _bits(outside):
         child[u] = (nb[u] & ~merged) | low
     child[low.bit_length() - 1] = outside
-    return child, (alive & ~merged) | low
+    return child, (alive & ~merged) | low, merged | outside
 
 
 def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitness]:
@@ -481,8 +494,30 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     Each s2 id is looked up by the s1 ids that stand for s2(v), so s2 ids
     and s2 values are in bijection too.  The sorted s2 ids of a graph are
     then its s2 counts written out (the full argument is in _WLKey).
-    Besides the 16-byte keys, the search keeps only its queue: per trace,
-    the steps and one packed int.
+
+    A child's key is computed only when its packed int is in neither of
+    two sets.  ``queued`` holds the packed int of every trace that went into
+    the queue, the root's included.  ``met`` holds every child packed since
+    the popped traces last changed their steps[:-1], and is cleared when
+    they do.  Siblings are popped one after another, and their children are
+    often one graph reached by the same steps in another order.  A hit is
+    an exact copy of a graph met earlier: the same alive mask and the same
+    neighbour masks.  So each test of the loop gives it that graph's
+    answer.  Too small or with no odd cycle, it is dropped as before.  An
+    odd wheel would have ended the search.  Otherwise that graph's key,
+    which is its own, is in ``seen``, and pruning on the key alone would
+    drop it there.  The queue, the ``expanded`` count, every budget cut-off
+    and the first witness are thus those of pruning on the key alone.
+
+    Memory stays bounded by what the queue already needs.  ``queued`` has
+    one entry per key in ``seen``, and its ints are the ones the queue
+    holds or held, not a copy per child.  ``met`` holds the children of one
+    family of at most 2n siblings (and the root, whose steps[:-1] is theirs
+    too), at most 2n each, so at most 2n(2n + 1) ints.
+    Besides these, the 16-byte keys and the interned labels of _WLKey, the
+    search keeps only its queue: per trace, the steps and one packed int.
+    A child's packed int is its parent's with the masks that _child
+    changed XORed in.
     """
     if budget < 0:
         raise PreconditionError(f"budget must be non-negative, got {budget}")
@@ -504,10 +539,16 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     moves = [(TMinorStep("tcontract", v), TMinorStep("delete", v)) for v in g.vertices]
     keys = _WLKey()
     seen = {keys(nb, list(range(size)))}
-    queue = deque([((), full | sum(m << s for m, s in zip(nb, shifts)))])
+    root = full | sum(m << s for m, s in zip(nb, shifts))
+    queue = deque([((), root)])
+    queued = {root}
+    met, prefix = set(), ()
     expanded = 0
     while queue and expanded < budget:
         steps, packed = queue.popleft()
+        if steps[:-1] != prefix:
+            prefix = steps[:-1]
+            met.clear()
         alive = packed & full
         nb = [(packed >> s) & full for s in shifts]
         expanded += 1
@@ -517,7 +558,13 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
                 made = _child(nb, alive, move.kind, v)
                 if made is None:
                     continue
-                child, child_alive = made
+                child, child_alive, touched = made
+                child_packed = packed ^ alive ^ child_alive
+                for u in _bits(touched):
+                    child_packed ^= (nb[u] ^ child[u]) << shifts[u]
+                if child_packed in queued or child_packed in met:
+                    continue
+                met.add(child_packed)
                 n = child_alive.bit_count()
                 if n < 4 or not _has_odd_cycle(child, child_alive):
                     continue
@@ -535,6 +582,6 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
                 key = keys(child, [u for u in vs if child_alive >> u & 1])
                 if key not in seen:
                     seen.add(key)
-                    packed = child_alive | sum(m << s for m, s in zip(child, shifts))
-                    queue.append((child_steps, packed))
+                    queued.add(child_packed)
+                    queue.append((child_steps, child_packed))
     return None

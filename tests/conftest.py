@@ -69,6 +69,12 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(range(n), edges)
 
 
+def satisfies(p, x) -> bool:
+    """Whether the point x meets every row of the polytope p."""
+    assert len(x) == p.dim
+    return all(row.evaluate(x) <= row.rhs for row in p.inequalities)
+
+
 def pendant(g: Graph, length: int) -> Graph:
     """g with a path of ``length`` new vertices hanging off vertex 0."""
     new = list(range(g.n, g.n + length))

@@ -37,6 +37,20 @@ def test_chi_and_chistar(capsys):
     assert code == 0 and out.strip() == "7/3"
 
 
+def run_module(*argv):
+    """``python -m argv`` in a fresh process that imports this checkout's tperfect."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("tperfect", "chi", "corpus:C5")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
+
+
 def test_tperfect_exit_codes_and_witness(capsys):
     code, out, _ = run(capsys, "tperfect", "corpus:C5")
     assert code == 0 and out.strip() == "true"
@@ -357,12 +371,7 @@ def test_deeply_wrapped_certificate_verifies(capsys, tmp_path):
     inner = json.dumps(json.loads(out)["certificate"])
     path = tmp_path / "wrapped.json"
     path.write_text('{"kind": "colouring", "certificate": ' * 980 + inner + "}" * 980)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, "-m", "tperfect.cli", "verify", "corpus:C5", str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_module("tperfect.cli", "verify", "corpus:C5", str(path))
     assert (done.returncode, done.stdout, done.stderr) == (0, "certificate verified\n", "")
 
 

@@ -16,6 +16,8 @@ from tperfect.geometry import (
     solve_lp,
 )
 
+from conftest import satisfies
+
 F = Fraction
 
 
@@ -175,7 +177,7 @@ def test_vertices_match_brute_force(p):
     expected = set()
     for sub in itertools.combinations(p.inequalities, p.dim):
         x = _solve_square([i.coeffs for i in sub], [i.rhs for i in sub])
-        if x is not None and p.contains(x):
+        if x is not None and satisfies(p, x):
             expected.add(x)
     assert set(enumerate_vertices(p).vertices) == expected
     # each mask the double description keeps is the set of rows tight at

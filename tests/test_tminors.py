@@ -2,12 +2,13 @@ import hashlib
 import math
 import random
 import warnings
+from collections import deque
 from dataclasses import replace
 from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tperfect.colouring import certify
 from tperfect.errors import PreconditionError, VerificationError
@@ -16,9 +17,14 @@ from tperfect.graphs import Graph, label_key, odd_girth
 from tperfect.polytopes import is_t_perfect
 from tperfect.tminors import (
     OddWheelWitness,
+    TMinorStep,
     TMinorTrace,
     TraceBuilder,
     _WLKey,
+    _child,
+    _has_odd_cycle,
+    _hub_structure,
+    _replayed,
     connected_bipartite_containing,
     extract_wheel_from_hub,
     find_odd_wheel_tminor,
@@ -421,6 +427,68 @@ def test_search_batch_output_pinned():
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
     assert len(outputs) == 113
     assert digest == "3cfee48d2db0fecbfd80cd0cd72d4af67238802518e70a512b9deddf0eff7c15"
+
+
+def _search_without_skips(g, budget):
+    """find_odd_wheel_tminor as it was before it skipped graphs it had met:
+    the same routes, and a breadth-first search over traces that prunes on
+    _WLKey alone and keeps each trace's masks as a list."""
+    if g.bipartition() is not None:
+        return None
+    hub = _hub_structure(g)
+    if hub is not None:
+        return extract_wheel_from_hub(g, *hub)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nb = [sum(1 << index[w] for w in g.neighbours(v)) for v in g.vertices]
+    keys = _WLKey()
+    seen = {keys(nb, list(range(g.n)))}
+    queue = deque([((), nb, (1 << g.n) - 1)])
+    for _ in range(budget):
+        if not queue:
+            break
+        steps, nb, alive = queue.popleft()
+        for v in (u for u in range(g.n) if alive >> u & 1):
+            for kind in ("tcontract", "delete"):
+                made = _child(nb, alive, kind, v)
+                if made is None:
+                    continue
+                child, child_alive, _ = made
+                n = child_alive.bit_count()
+                if n < 4 or not _has_odd_cycle(child, child_alive):
+                    continue
+                child_steps = steps + (TMinorStep(kind, g.vertices[v]),)
+                # an odd wheel has an even number of vertices, one of full degree
+                if n % 2 == 0 and n - 1 in map(int.bit_count, child):
+                    replayed = _replayed(g, child_steps)
+                    wheel = is_odd_wheel(replayed.graph)
+                    if wheel is not None:
+                        hub_v, rim = wheel
+                        return OddWheelWitness(trace=replayed.trace(), hub=hub_v, rim=tuple(rim))
+                key = keys(child, [u for u in range(g.n) if child_alive >> u & 1])
+                if key not in seen:
+                    seen.add(key)
+                    queue.append((child_steps, child, child_alive))
+    return None
+
+
+@st.composite
+def search_inputs(draw):
+    n = draw(st.integers(6, 11))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+    g = Graph(range(n), edges)
+    assume(g.bipartition() is None)
+    return g, draw(st.integers(0, 300))
+
+
+@settings(max_examples=200)
+@given(search_inputs())
+def test_search_skips_only_what_key_pruning_drops(drawn):
+    # a skipped child is an exact copy of a graph met earlier, so the queue,
+    # the budget cut-off and the witness are those of a search that prunes
+    # on the key alone
+    g, budget = drawn
+    w, reference = find_odd_wheel_tminor(g, budget), _search_without_skips(g, budget)
+    assert (w and w.to_json()) == (reference and reference.to_json())
 
 
 def _hub_batch():
