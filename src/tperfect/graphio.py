@@ -256,6 +256,9 @@ def parse_witness(data: dict):
 
     order = tuple(parse_label(v) for v in data["order"])
     point = qvec(_parse_fraction(data["point"][repr(v)]) for v in order)
+    extra = set(data["point"]).difference(map(repr, order))
+    if extra:
+        raise PreconditionError(f"witness point names {min(extra)!r}, which is not in its order")
     tight = tuple(
         (entry["tag"], tuple(parse_label(s) for s in entry["source"]))
         for entry in data["tight"]

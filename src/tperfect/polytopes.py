@@ -20,7 +20,8 @@ from .geometry import (
     Inequality,
     enumerate_vertices,
     qvec,
-    _rank,
+    rank,
+    slacks,
 )
 from .graphio import JSONData
 from .graphs import Graph, has_k4_minor, label_key, shortest_odd_cycle
@@ -184,8 +185,14 @@ def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
     is contained in P.  A point of STAB(H) is a convex combination of such
     0/1 vectors, all of them points of P; a vertex of P is a convex
     combination of points of P only trivially, so a vertex of P in STAB(H)
-    would be one of those 0/1 vectors, and integral.  Each row's slack at
-    the point is computed once and serves the first two clauses.
+    would be one of those 0/1 vectors, and integral.
+
+    The arithmetic is in integers: ``geometry.slacks`` gives each row's
+    slack at the point, scaled by one positive common denominator, once,
+    and it serves the first two clauses; the rank is a fraction-free
+    elimination (``geometry.rank``).  The relaxation is still built from g,
+    not taken from the certificate, and a violated row's error carries the
+    point as ``Fraction``s.
     """
     if w.relaxation == "tstab":
         p = tstab(g)
@@ -200,13 +207,13 @@ def verify_witness(g: Graph, w: ImperfectionWitness) -> bool:
     x = qvec(w.point)
     if len(x) != p.dim:
         raise PreconditionError("point dimension mismatch")
-    slack = [i.rhs - i.evaluate(x) for i in p.inequalities]
+    slack = slacks(p, x)
     if any(s < 0 for s in slack):
         raise VerificationError("witness point violates the relaxation", detail={"point": x})
     tight = [i for i, s in zip(p.inequalities, slack) if s == 0]
     if tuple(w.tight_tags) != tuple((i.tag, i.source) for i in tight):
         raise VerificationError("witness tight list does not match the rows tight at the point")
-    if _rank([list(i.coeffs) for i in tight]) != p.dim:
+    if rank([i.coeffs for i in tight]) != p.dim:
         raise VerificationError("witness point is not a vertex of the relaxation")
     if all(c.denominator == 1 for c in x):
         raise VerificationError("witness point is integral")
@@ -302,7 +309,7 @@ def _fractional_witness(g: Graph, relaxation: str, build) -> Optional[Imperfecti
         relaxation=relaxation,
         order=vertex_order(g),
         point=x,
-        tight_tags=tuple((i.tag, i.source) for i in p.tight_inequalities(x)),
+        tight_tags=tuple((i.tag, i.source) for i, s in zip(p.inequalities, slacks(p, x)) if s == 0),
     )
     verify_witness(g, w)
     return w

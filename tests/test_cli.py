@@ -411,6 +411,12 @@ def _drop_point_key(capsys):
     return json.dumps(data)
 
 
+def _extra_point_key(capsys):
+    data = _k4_certificate(capsys, "tperfect")
+    data["point"]["99"] = "1/2"
+    return json.dumps(data)
+
+
 def _zero_denominator_weight(capsys):
     data = _k4_certificate(capsys, "chistar")
     data["sets"][0]["weight"] = "1/0"
@@ -484,6 +490,7 @@ def _envelope_of_unknown_kind(capsys):
     "command, make_text",
     [
         ("verify", _drop_point_key),
+        ("verify", _extra_point_key),
         ("verify", _zero_denominator_weight),
         ("verify", _null_order),
         ("verify", _assignment_as_list),
@@ -503,6 +510,7 @@ def _envelope_of_unknown_kind(capsys):
     ],
     ids=[
         "point-missing-key",
+        "point-extra-key",
         "weight-1/0",
         "order-null",
         "assignment-list",

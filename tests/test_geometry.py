@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,8 @@ from tperfect.geometry import (
     enumerate_vertices,
     point_in_hull,
     qvec,
+    rank,
+    slacks,
     solve_lp,
 )
 
@@ -189,3 +192,53 @@ def test_vertices_match_brute_force(p):
     for pt, mask in verts:
         tight = sum(1 << (p.dim + 1 + k) for k, row in enumerate(rows) if _dot(row, pt) == 0)
         assert mask == tight
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination on Fractions."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col] / mat[r][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+# coordinates on the boxed rows' faces, or anywhere with a large denominator
+_coords = st.one_of(
+    st.sampled_from([F(k, 2) for k in range(-4, 5)]),
+    st.builds(F, st.integers(-3 * 10**7, 3 * 10**7), st.integers(1, 10**7)),
+)
+
+
+@given(boxed_systems(), st.data())
+def test_integer_slacks_and_rank_match_fractions(p, data):
+    # each row scaled by a positive rational with a denominator up to 10^7,
+    # which leaves the polytope as it was and its entries rational
+    scale = st.builds(F, st.integers(1, 10**7), st.integers(1, 10**7))
+    rows = []
+    for ineq in p.inequalities:
+        f = data.draw(scale)
+        rows.append(Inequality(tuple(c * f for c in ineq.coeffs), ineq.rhs * f))
+    p = HPolytope(p.dim, tuple(rows))
+    x = tuple(data.draw(st.lists(_coords, min_size=p.dim, max_size=p.dim)))
+    den = lcm(*(c.denominator for i in rows for c in (i.rhs, *i.coeffs)))
+    den *= lcm(*(v.denominator for v in x))
+    s = slacks(p, x)
+    assert all(type(v) is int for v in s)
+    assert s == [den * (i.rhs - i.evaluate(x)) for i in rows]
+    tight = [i.coeffs for i in rows if i.evaluate(x) == i.rhs]
+    assert [i.coeffs for i, v in zip(rows, s) if v == 0] == tight
+    assert rank(tight) == _fraction_rank(tight)
+    subset = [i.coeffs for i in rows if data.draw(st.booleans())]
+    assert rank(subset) == _fraction_rank(subset)
+    # a dense rational matrix, with a row that depends on its first two
+    mat = data.draw(st.lists(st.lists(_coords, min_size=p.dim, max_size=p.dim), max_size=6))
+    mat += [[a + 2 * b for a, b in zip(mat[0], r)] for r in mat[1:2]]
+    assert rank(mat) == _fraction_rank(mat)

@@ -11,7 +11,7 @@ from tperfect.errors import CapExceededError, VerificationError
 from tperfect.geometry import HPolytope, Inequality, point_in_hull, qvec
 from tperfect import polytopes
 from tperfect.corpus import corpus_names, make
-from tperfect.geometry import _dd_enumerate, _row_to_int, enumerate_vertices
+from tperfect.geometry import _dd_enumerate, _row_to_int, enumerate_vertices, rank, slacks
 from tperfect.graphs import Graph, has_k4_minor
 from tperfect.polytopes import (
     ImperfectionWitness,
@@ -207,7 +207,7 @@ def test_vertex_order_deterministic():
 def _witness_at(g, relaxation, point):
     x = qvec(point)
     p = {"tstab": tstab, "hstab": hstab}[relaxation](g)
-    tight = tuple((i.tag, i.source) for i in p.tight_inequalities(x))
+    tight = tuple((i.tag, i.source) for i, s in zip(p.inequalities, slacks(p, x)) if s == 0)
     return ImperfectionWitness(relaxation=relaxation, order=vertex_order(g), point=x, tight_tags=tight)
 
 
@@ -354,6 +354,25 @@ def test_witness_is_the_first_fractional_vertex_of_the_whole_relaxation(g):
         assert holds == (not fractional)
         if fractional:
             assert w.point == fractional[0]
+
+
+@given(mixed_label_graphs().filter(lambda g: 1 <= g.n <= 8))
+def test_double_description_on_degenerate_relaxations(g):
+    # tstab and hstab have many more tight rows than d at their vertices,
+    # the degenerate case where a third vertex blocks a pair's meet
+    stables = {_incidence(vertex_order(g), s) for s in all_stable_sets(g)}
+    for p in (tstab(g), hstab(g)):
+        rows = sorted(set(_row_to_int(i) for i in p.inequalities))
+        integral = set()
+        for pt, mask in _dd_enumerate([_row_to_int(i) for i in p.inequalities], p.dim):
+            values = [sum(r * v for r, v in zip(row, pt)) for row in rows]
+            assert min(values) >= 0
+            tight = [row for row, v in zip(rows, values) if v == 0]
+            assert mask == sum(1 << (p.dim + 1 + k) for k, v in enumerate(values) if v == 0)
+            assert rank([row[1:] for row in tight]) == p.dim
+            if pt[0] == 1:
+                integral.add(pt[1:])
+        assert integral == stables
 
 
 @pytest.mark.parametrize("name, dims", [("joinC5C5", [6]), ("grotzsch", [10])])
