@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CapExceededError,
-    InfeasibleError,
     PreconditionError,
     TPerfectError,
     UnboundedPolytopeError,
@@ -16,7 +15,6 @@ from .graphs import Graph, odd_girth
 __all__ = [
     "CapExceededError",
     "Graph",
-    "InfeasibleError",
     "PreconditionError",
     "TPerfectError",
     "UnboundedPolytopeError",

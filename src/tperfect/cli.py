@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -383,7 +384,10 @@ def _add_graph_arg(p):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call (the first ``main``, not import)
+    and kept for the process."""
     parser = _Parser(prog="tperfect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -483,10 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The handler is looked up by name at each call, so
+    a module attribute rebound since the parser was built (a tracing
+    wrapper, say) is the one that runs."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func.__name__](args)
     except TPerfectError as e:
         _report(f"error: {e}", e)
         return EXIT_ERROR

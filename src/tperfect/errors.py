@@ -24,10 +24,6 @@ class UnboundedPolytopeError(TPerfectError, ValueError):
     """Vertex enumeration detected an unbounded (or out-of-box) input system."""
 
 
-class InfeasibleError(TPerfectError, ValueError):
-    """A linear program has an empty feasible region."""
-
-
 class VerificationError(TPerfectError, ValueError):
     """A machine-checked postcondition or certificate audit failed.
 

@@ -1,20 +1,22 @@
-"""Exact rational polytope machinery: inequality systems, vertex enumeration
-by the double description method, an exact simplex solver, hull membership
-and matrix rank.
+"""Exact polytope machinery: inequality systems, vertex enumeration by the
+double description method, an exact simplex solver, hull membership and
+matrix rank.
 
-All arithmetic is exact.  Internally points are stored in homogeneous integer
-coordinates (den, x_1*den, ..., x_d*den).  The double description tests
-adjacency combinatorially, by intersecting per-row bitsets of tight vertices
-(Fukuda & Prodon, "Double description method revisited", 1996): vertices
-keep stable ids, the bitsets are updated in place as rows go in, and the
-intersection for a set of shared rows is computed once per row insertion.
-The simplex pivots on an integer tableau over one common denominator
-(fraction-free pivoting, Edmonds 1967 / Bareiss 1968), and ``rank``
-eliminates fraction-free too.  The public API speaks ``fractions.Fraction``:
-inequalities and points come in as ``Fraction``s and are read as integer
-numerators and denominators, and the vertices go out as ``Fraction``s, each
-converted once after an integer sort.  ``slacks`` evaluates a point against
-every row in integers.
+All arithmetic is exact.  Rows are integers: every inequality a.x <= b the
+library builds (nonnegativity, edge, clique and odd-circuit rows) has 0/+-1
+coefficients and an integer right-hand side, and ``HPolytope`` refuses any
+other entry.  Points are ``Fraction``s; internally they are stored in
+homogeneous integer coordinates (den, x_1*den, ..., x_d*den).  The double
+description tests adjacency combinatorially, by intersecting per-row bitsets
+of tight vertices (Fukuda & Prodon, "Double description method revisited",
+1996): vertices keep stable ids, the bitsets are updated in place as rows go
+in, and the intersection for a set of shared rows is computed once per row
+insertion.  The vertices go out as ``Fraction``s, each converted once after
+an integer sort, and ``slacks`` evaluates a point against every row in
+integers.  The simplex takes integer data with b >= 0, so it needs one phase
+only, from the slack basis; it pivots on an integer tableau over one common
+denominator (fraction-free pivoting, Edmonds 1967 / Bareiss 1968), and
+``rank`` eliminates fraction-free too.
 """
 
 from __future__ import annotations
@@ -22,33 +24,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
-from .errors import (
-    InfeasibleError,
-    PreconditionError,
-    UnboundedPolytopeError,
-)
-
-Rational = Fraction
-QVec = tuple  # tuple of Fractions
+from .errors import PreconditionError, UnboundedPolytopeError
 
 
-def qvec(values) -> QVec:
+def qvec(values) -> tuple:
+    """The values as a tuple of ``Fraction``s: a point."""
     return tuple(Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
 class Inequality:
-    """coeffs . x <= rhs, with a provenance tag citing the generating set."""
+    """coeffs . x <= rhs, integer coefficients and right-hand side, with a
+    provenance tag citing the generating set."""
 
-    coeffs: QVec
-    rhs: Rational
+    coeffs: tuple
+    rhs: int
     tag: str = ""
     source: tuple = ()
-
-    def evaluate(self, x: QVec) -> Rational:
-        return sum(c * v for c, v in zip(self.coeffs, x))
 
 
 @dataclass(frozen=True)
@@ -60,6 +53,8 @@ class HPolytope:
         for ineq in self.inequalities:
             if len(ineq.coeffs) != self.dim:
                 raise PreconditionError("inequality dimension mismatch")
+            if type(ineq.rhs) is not int or any(type(c) is not int for c in ineq.coeffs):
+                raise PreconditionError("inequality entries must be integers")
 
 
 @dataclass(frozen=True)
@@ -76,14 +71,9 @@ class VRep:
 
 def _row_to_int(ineq: Inequality):
     """(b - a.x >= 0) as a gcd-reduced integer vector (b, -a1, ..., -ad)."""
-    b, coeffs = ineq.rhs, ineq.coeffs
-    den = lcm(b.denominator, *(c.denominator for c in coeffs))
-    row = [b.numerator * (den // b.denominator)]
-    row += [-c.numerator * (den // c.denominator) for c in coeffs]
+    row = (ineq.rhs, *(-c for c in ineq.coeffs))
     g = gcd(*row)
-    if g > 1:
-        row = [v // g for v in row]
-    return tuple(row)
+    return tuple(v // g for v in row) if g > 1 else row
 
 
 def _normalize_point(vec):
@@ -263,24 +253,17 @@ def enumerate_vertices(p: HPolytope) -> VRep:
     return VRep(tuple(tuple(Fraction(v, pt[0]) for v in pt[1:]) for pt in points))
 
 
-def slacks(p: HPolytope, x: QVec) -> list:
-    """den * (rhs - a.x) for each row a.x <= rhs of p, in p's row order, as
-    integers: den > 0 is the lcm of the denominators of p's entries times
-    the lcm of those of x.  So a slack is negative exactly where x violates
-    its row, and 0 exactly where the row is tight."""
-    rows = [(ineq.rhs, *ineq.coeffs) for ineq in p.inequalities]
-    den = lcm(*(c.denominator for row in rows for c in row))
+def slacks(p: HPolytope, x) -> list:
+    """dx * (rhs - a.x) for each row a.x <= rhs of p, in p's row order, as
+    integers: dx > 0 is the lcm of the denominators of x.  So a slack is
+    negative exactly where x violates its row, and 0 exactly where the row
+    is tight."""
     dx = lcm(*(v.denominator for v in x))
-    hx = (dx, *(-v.numerator * (dx // v.denominator) for v in x))
-    out = []
-    for row in rows:
-        s = 0
-        for c, v in zip(row, hx):
-            n = c.numerator
-            if n:
-                s += n * (den // c.denominator) * v
-        out.append(s)
-    return out
+    hx = [v.numerator * (dx // v.denominator) for v in x]
+    return [
+        ineq.rhs * dx - sum(c * v for c, v in zip(ineq.coeffs, hx) if c)
+        for ineq in p.inequalities
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -292,120 +275,69 @@ _RHS = -1  # key of the right-hand side in a sparse simplex row
 
 
 def solve_lp(a_rows, b, c):
-    """max c.x subject to a_rows . x <= b, x >= 0, everything Fraction-exact.
+    """max c.x subject to a_rows . x <= b, x >= 0, for integer a_rows, b and
+    c with b >= 0.
 
-    Returns (value, x, y) where y are the dual prices of the rows.  Bland's
-    rule (lowest index), two phases.  Raises InfeasibleError on an empty
-    feasible region and UnboundedPolytopeError when the objective is
-    unbounded above.
+    Returns (value, x, y) as ``Fraction``s, y the dual prices of the rows.
+    As b >= 0, the slack basis is feasible, and Bland's rule (lowest index)
+    runs from it in one phase.  Raises PreconditionError on a negative b and
+    UnboundedPolytopeError when the objective is unbounded above.
 
-    The pivots are fraction-free (Edmonds 1967, Bareiss 1968): A and b are
-    scaled by one common positive integer, c by its own, and the tableau
-    holds integers over one shared denominator d, the last pivot.  Positive
-    scaling changes neither the signs of reduced costs nor the order of
-    ratios, so the pivots are those of the same simplex run on Fractions.
+    The pivots are fraction-free (Edmonds 1967, Bareiss 1968): the tableau
+    holds integers over one shared denominator d, the last pivot, which the
+    ratio test takes positive, so d stays positive.
     """
-    m_orig = len(a_rows)
-    n = len(c)
-    a_rows = [[Fraction(v) for v in row] for row in a_rows]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    da = lcm(*(v.denominator for row in a_rows for v in row), *(v.denominator for v in b))
-    dc = lcm(*(v.denominator for v in c))
-
-    # tableau columns: n structural + m slack (+ possibly 1 auxiliary); rows
-    # are sparse, {column: nonzero entry}, the right-hand side under _RHS
-    aux = any(bi < 0 for bi in b)
-    aux_col = n + m_orig
+    if any(v < 0 for v in b):
+        raise PreconditionError("solve_lp needs a nonnegative right-hand side")
+    m, n = len(a_rows), len(c)
+    # tableau columns: n structural + m slack; rows are sparse, {column:
+    # nonzero entry}, the right-hand side under _RHS
     rows = []
-    for i in range(m_orig):
-        row = {j: v.numerator * (da // v.denominator) for j, v in enumerate(a_rows[i]) if v}
+    for i, row in enumerate(a_rows):
+        row = {j: v for j, v in enumerate(row) if v}
         row[n + i] = 1
-        if aux:
-            row[aux_col] = -1
         if b[i]:
-            row[_RHS] = b[i].numerator * (da // b[i].denominator)
+            row[_RHS] = b[i]
         rows.append(row)
-    basis = [n + i for i in range(m_orig)]
-    # the actual tableau is rows / d (and a z-row / d); d > 0, and every
-    # basic column holds d in its own row
+    basis = [n + i for i in range(m)]
+    # the actual tableau is rows / d and z / d; every basic column holds d
+    # in its own row.  z holds the reduced costs and, under _RHS, the
+    # negated objective value; the slack basis costs nothing.
     d = 1
-
-    def pivot(r, col, z=None):
-        """T[i][j] <- (p*T[i][j] - T[i][col]*T[r][j]) / d for i != r and for
-        the z-row, exact by Sylvester's identity; then d <- p, with every
-        sign flipped when p < 0 so that d stays positive.  Returns the new
-        z-row."""
-        nonlocal d
-        prow = rows[r]
-        p = prow[col]
+    z = {j: v for j, v in enumerate(c) if v}
+    while True:
+        enter = min((j for j, v in z.items() if v > 0 and j != _RHS), default=-1)
+        if enter < 0:
+            break
+        leave = -1
         for i, row in enumerate(rows):
-            if i != r:
-                rows[i] = _bareiss_row(row, prow, col, p, d)
-        if z is not None:
-            z = _bareiss_row(z, prow, col, p, d)
-        if p < 0:
-            rows[:] = [_negated(row) for row in rows]
-            if z is not None:
-                z = _negated(z)
-            p = -p
+            if row.get(enter, 0) > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # rhs/row[enter] against the best ratio so far
+                lhs = row.get(_RHS, 0) * rows[leave][enter]
+                rhs = rows[leave].get(_RHS, 0) * row[enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            raise UnboundedPolytopeError("linear program is unbounded")
+        # T[i][j] <- (p*T[i][j] - T[i][enter]*T[leave][j]) / d, exact by
+        # Sylvester's identity; then d <- p
+        prow = rows[leave]
+        p = prow[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = _bareiss_row(row, prow, enter, p, d)
+        z = _bareiss_row(z, prow, enter, p, d)
         d = p
-        basis[r] = col
-        return z
-
-    def run_simplex(obj):
-        """Maximize obj (integer coefficients per column); returns the final
-        z-row over d, whose entries are the reduced costs and whose _RHS
-        entry is the negated objective value."""
-        z = {j: d * v for j, v in enumerate(obj) if v}
-        for i, bv in enumerate(basis):
-            f = obj[bv]
-            if f:
-                for j, v in rows[i].items():
-                    z[j] = z.get(j, 0) - f * v
-        while True:
-            enter = min((j for j, v in z.items() if v > 0 and j != _RHS), default=-1)
-            if enter < 0:
-                return z
-            leave = -1
-            for i, row in enumerate(rows):
-                if row.get(enter, 0) > 0:
-                    if leave < 0:
-                        leave = i
-                        continue
-                    # rhs/row[enter] against the best ratio so far
-                    lhs = row.get(_RHS, 0) * rows[leave][enter]
-                    rhs = rows[leave].get(_RHS, 0) * row[enter]
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave = i
-            if leave < 0:
-                raise UnboundedPolytopeError("linear program is unbounded")
-            z = pivot(leave, enter, z)
-
-    if aux:
-        # make the auxiliary variable basic in the most negative row, which
-        # yields a feasible dictionary, then minimize it
-        r0 = min(range(m_orig), key=lambda i: (rows[i].get(_RHS, 0), i))
-        pivot(r0, aux_col)
-        z1 = run_simplex([0] * aux_col + [-1])
-        if z1.get(_RHS, 0) > 0:
-            raise InfeasibleError("linear program infeasible")
-        if aux_col in basis:
-            # the slack columns hold d times the inverse basis, which has no
-            # zero row, so this row has a nonzero entry left of aux_col
-            r = basis.index(aux_col)
-            pivot(r, min(j for j in rows[r] if 0 <= j < aux_col))
-        # strip the auxiliary column so phase 2 cannot re-enter it
-        for row in rows:
-            row.pop(aux_col, None)
-
-    z2 = run_simplex([v.numerator * (dc // v.denominator) for v in c] + [0] * m_orig)
-    value = Fraction(-z2.get(_RHS, 0), d * dc)
+        basis[leave] = enter
+    value = Fraction(-z.get(_RHS, 0), d)
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
             x[bv] = Fraction(rows[i].get(_RHS, 0), d)
-    y = tuple(Fraction(-z2.get(n + i, 0) * da, d * dc) for i in range(m_orig))
+    y = tuple(Fraction(-z.get(n + i, 0), d) for i in range(m))
     return value, tuple(x), y
 
 
@@ -424,35 +356,30 @@ def _bareiss_row(row, prow, col, p, d):
     return new
 
 
-def _negated(row):
-    return {j: -v for j, v in row.items()}
+def point_in_hull(points, x) -> bool:
+    """Exact membership of x in conv(points), by the separation LP: maximize
+    a.x - beta over -1 <= a <= 1 subject to a.p <= beta for each point p.
+    x is in the hull iff the optimum is 0; a positive optimum gives an a
+    that separates it.
 
-
-def point_in_hull(points: Sequence[QVec], x: QVec) -> bool:
-    """Exact membership of x in conv(points), decided by LP feasibility."""
+    In the variable g = a.x - beta a row reads a.(p - x) + g <= 0, scaled to
+    integers by the lcm of the denominators of p - x.  a = a+ - a- with
+    0 <= a+, a- <= 1, and g >= 0 loses nothing, as a = 0, g = 0 is feasible.
+    Every right-hand side is 0 or 1."""
     pts = [qvec(p) for p in points]
     x = qvec(x)
     if not pts:
         return False
     d = len(x)
-    # find lambda >= 0 with sum lambda = 1 and P lambda = x:
-    # feasibility via phase 1 of: max 0 s.t. equalities split into <= pairs
-    a_rows, b = [], []
-    for i in range(d):
-        row = [p[i] for p in pts]
-        a_rows.append(row)
-        b.append(x[i])
-        a_rows.append([-v for v in row])
-        b.append(-x[i])
-    a_rows.append([Fraction(1)] * len(pts))
-    b.append(Fraction(1))
-    a_rows.append([Fraction(-1)] * len(pts))
-    b.append(Fraction(-1))
-    try:
-        solve_lp(a_rows, b, [Fraction(0)] * len(pts))
-    except InfeasibleError:
-        return False
-    return True
+    a_rows = []
+    for p in pts:
+        q = [v - xv for v, xv in zip(p, x)]
+        den = lcm(*(v.denominator for v in q))
+        q = [v.numerator * (den // v.denominator) for v in q]
+        a_rows.append(q + [-v for v in q] + [den])
+    a_rows += [[int(j == i) for j in range(2 * d + 1)] for i in range(2 * d)]
+    b = [0] * len(pts) + [1] * (2 * d)
+    return solve_lp(a_rows, b, [0] * (2 * d) + [1])[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +388,10 @@ def point_in_hull(points: Sequence[QVec], x: QVec) -> bool:
 
 
 def rank(rows) -> int:
-    """Rank of a matrix with rational entries, by fraction-free elimination
-    (Bareiss 1968).  Each row is scaled to integers by the lcm of its
-    denominators; every later entry is a minor of that integer matrix, and
-    the division by the previous pivot is exact by Sylvester's identity."""
-    mat = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row))
-        mat.append([v.numerator * (den // v.denominator) for v in row])
+    """Rank of an integer matrix, by fraction-free elimination (Bareiss
+    1968): every later entry is a minor of the matrix, and the division by
+    the previous pivot is exact by Sylvester's identity."""
+    mat = [list(row) for row in rows]
     r, prev = 0, 1
     for col in range(len(mat[0]) if mat else 0):
         piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)

@@ -86,18 +86,15 @@ def chordless_odd_cycles(g: Graph) -> list:
 
 
 def _nonneg_rows(order) -> list:
-    rows = []
-    for i, v in enumerate(order):
-        coeffs = [Fraction(0)] * len(order)
-        coeffs[i] = Fraction(-1)
-        rows.append(Inequality(tuple(coeffs), Fraction(0), tag="nonneg", source=(v,)))
-    return rows
+    return [
+        Inequality(tuple(-int(j == i) for j in range(len(order))), 0, tag="nonneg", source=(v,))
+        for i, v in enumerate(order)
+    ]
 
 
 def _subset_row(order, subset, rhs, tag, source) -> Inequality:
     s = set(subset)
-    coeffs = tuple(Fraction(1) if v in s else Fraction(0) for v in order)
-    return Inequality(coeffs, Fraction(rhs), tag=tag, source=source)
+    return Inequality(tuple(int(v in s) for v in order), rhs, tag=tag, source=source)
 
 
 def _odd_cycle_rows(g: Graph) -> tuple:
@@ -149,7 +146,7 @@ class ImperfectionWitness(JSONData):
 
     relaxation: str  # "tstab", "hstab", or "hbarstab" (hstab of the complement)
     order: tuple
-    point: tuple  # QVec of Fractions
+    point: tuple  # of Fractions
     tight_tags: tuple  # (tag, source) of each inequality tight at the point
 
     def to_data(self) -> dict:

@@ -814,6 +814,10 @@ def _rope_from_chains(g: Graph, x_set) -> Optional[ArithmeticRope]:
     of degree >= 3 whose inner vertices have degree 2, and reassemble a rope
     from them, or return None.
 
+    Vertices of degree <= 1 are dropped from g[X] first, until none is left:
+    such a vertex lies on no cycle, so on no rope path, and a pendant tree
+    would otherwise split the chain it hangs from.
+
     Each chain is walked from both ends and kept from the end earlier in
     label order (a chain from a vertex back to itself, from its earlier
     first edge).  Two ends joined by exactly one odd and one even chain give
@@ -824,6 +828,10 @@ def _rope_from_chains(g: Graph, x_set) -> Optional[ArithmeticRope]:
     pair of least number not yet taken, and the rope must pass verify_rope.
     """
     sub = g.induced_subgraph(x_set)
+    leaves = [v for v in sub.vertices if sub.degree(v) <= 1]
+    while leaves:
+        sub = sub.delete_vertices(leaves)
+        leaves = [v for v in sub.vertices if sub.degree(v) <= 1]
     by_ends = {}
     for a in sub.vertices:
         if sub.degree(a) < 3:

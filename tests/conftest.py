@@ -72,7 +72,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def satisfies(p, x) -> bool:
     """Whether the point x meets every row of the polytope p."""
     assert len(x) == p.dim
-    return all(row.evaluate(x) <= row.rhs for row in p.inequalities)
+    return all(sum(a * v for a, v in zip(row.coeffs, x)) <= row.rhs for row in p.inequalities)
 
 
 def pendant(g: Graph, length: int) -> Graph:

@@ -112,7 +112,9 @@ def test_all_cycles_mode_matches_chordless():
         p = tstab(g)
         order = vertex_order(g)
         all_cycle_rows = tuple(
-            Inequality(_incidence(order, c), F((len(c) - 1) // 2), tag="oddcycle", source=tuple(c))
+            Inequality(
+                tuple(int(v in c) for v in order), (len(c) - 1) // 2, tag="oddcycle", source=tuple(c)
+            )
             for c in nx.simple_cycles(g.to_networkx())
             if len(c) % 2 == 1
         )

@@ -400,8 +400,10 @@ def _edited_hosts(host, rng, k):
 def test_find_rope_batch_output_pinned():
     """One sha256 over find_rope on generated and shell hosts for r = 2..7
     and seeded edits of them: the rope JSON, or the error as the CLI reports
-    it when no rope is found.  Recorded before the chain recovery was
-    rewritten; it covers the two-anchor recovery and the no-rope paths."""
+    it when no rope is found.  It covers the two-anchor recovery and the
+    no-rope paths.  Re-recorded when the recovery began to drop pendant
+    trees: 42 pendant copies that gave no rope now give a verified one, and
+    the other 114 outputs are as before."""
     rng = random.Random(14)
     digest = hashlib.sha256()
     for r in range(2, 8):
@@ -413,7 +415,21 @@ def test_find_rope_batch_output_pinned():
                     detail = json.dumps(_jsonable(getattr(e, "detail", None)), sort_keys=True)
                     text = f"{type(e).__name__}: {e} {detail}"
                 digest.update(text.encode() + b"\n")
-    assert digest.hexdigest() == "db2ec5ccb291683070024162b19a140ca6a10786127f48a9abae269c99e6e3c6"
+    assert digest.hexdigest() == "7c1ff3221879f2aff115385315f9cda562b9f5fbb557b21d177aa9f73240e5f8"
+
+
+@given(st.integers(2, 5), st.data())
+def test_find_rope_sees_past_pendant_trees(r, data):
+    # a vertex of degree <= 1 lies on no cycle, so trees hung off the
+    # vertices of a rope leave that rope to be found
+    host = generate_rope(r, 7, 8)[0]
+    vertices, edges = list(host.vertices), list(host.edges())
+    for k in range(data.draw(st.integers(1, 12))):
+        edges.append((data.draw(st.sampled_from(vertices)), ("t", k)))
+        vertices.append(("t", k))
+    g = Graph(vertices, edges)
+    rope = find_rope(g, frozenset(vertices), r, c=0)
+    assert rope.r >= r and verify_rope(g, rope)
 
 
 def broken_rope_clauses_failing(g, c_set, q1, c, res):
