@@ -1,5 +1,5 @@
 """Fabricate an arithmetic rope, audit it, break it with a chord, then
-recover a rope from a host graph with the relaxed finder."""
+recover a rope from a host graph with find_rope."""
 
 from tperfect.errors import VerificationError
 from tperfect.graphs import Graph

@@ -260,7 +260,7 @@ def cmd_rope_find(args) -> int:
 
     g = load_graph(args.graph, args.format)
     try:
-        rope = find_rope(g, frozenset(g.vertices), args.r, c=args.c, strict=args.strict)
+        rope = find_rope(g, frozenset(g.vertices), args.r, c=args.c)
     except VerificationError as e:
         _report(f"no rope found: {e}", e)
         return EXIT_FAILS
@@ -458,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arg(q)
     q.add_argument("--r", type=int, default=2)
     q.add_argument("--c", type=int, default=0)
-    q.add_argument("--strict", action="store_true")
     q.set_defaults(func=cmd_rope_find)
 
     p = sub.add_parser("corpus", help="named fixture graphs")

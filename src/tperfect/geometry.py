@@ -78,12 +78,8 @@ def _row_to_int(ineq: Inequality):
 
 def _normalize_point(vec):
     """gcd-reduce a homogeneous point; leading coordinate kept positive."""
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g > 1:
-        vec = tuple(v // g for v in vec)
-    return tuple(vec)
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else vec
 
 
 def _dd_enumerate(int_rows, dim):

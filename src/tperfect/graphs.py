@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import networkx as nx
@@ -206,24 +205,6 @@ class Graph:
     def ball(self, v, r: int) -> frozenset:
         """Closed ball: all vertices at distance at most r from v."""
         return frozenset().union(*self.bfs_levels(v, r))
-
-
-@dataclass(frozen=True)
-class Levelling:
-    """BFS levels from a root over the root's component: levels[i] is the
-    distance-i sphere, and level[v] the index of the level holding v."""
-
-    levels: tuple  # tuple of frozensets
-    level: dict  # vertex -> distance from the root
-
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-
-def bfs_levelling(g: Graph, root) -> Levelling:
-    levels = tuple(g.bfs_levels(root))
-    level = {v: d for d, vs in enumerate(levels) for v in vs}
-    return Levelling(levels=levels, level=level)
 
 
 def _induced_edge_count(g: Graph, vs: Iterable[Vertex]) -> int:

@@ -2,10 +2,11 @@
 stable-grading witness routines, the rope induction step, broken-rope
 assembly, and the rope finder.
 
-All constructive procedures are threshold-parameterized.  In strict mode the
-published chromatic thresholds are enforced; in relaxed mode the procedures
-run best-effort and success is defined by the postcondition audits, which are
-always executed.
+The constructive procedures run best effort: each output is accepted only
+by its postcondition audit, which always runs, and a collapsed proof branch
+raises VerificationError naming it.  The paper's chromatic thresholds, which
+guarantee that no branch collapses, are kept as arithmetic below and are not
+checked at run time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .graphs import (
     COMBINATORIAL_CAP,
     Graph,
     _induced_edge_count,
-    bfs_levelling,
     covers,
     is_path_induced,
     is_stable,
@@ -307,16 +307,6 @@ def generate_rope_shell(r: int, odd_len: int, even_len: int):
 # ---------------------------------------------------------------------------
 
 
-def _require_chi(g: Graph, subset, need, name: str, threshold: str) -> None:
-    """Strict-mode gate: raise PreconditionError unless chi(g[subset]) >= need.
-    chi <= |subset|, so a small subset settles the comparison for free."""
-    if len(subset) < need:
-        raise PreconditionError(f"chi({name}) <= {len(subset)} below {threshold} {need}")
-    k, _ = chi_exact(g.induced_subgraph(subset))
-    if k < need:
-        raise PreconditionError(f"chi({name}) = {k} below {threshold} {need}")
-
-
 def _richest_level(g: Graph, levels):
     """(t, component): the first t >= 4 maximising chi(g[levels[t + 1]]),
     with the component of that level that _max_chi_component picks, or
@@ -553,15 +543,14 @@ def rope_induction_step(
     c_set,
     q,
     c: int,
-    strict: bool = True,
 ) -> InductionResult:
     """One induction step: from a covered, connected, chromatically rich C
     produce a smaller covered C' at distance >= 5 behind an odd/even pair of
     induced paths from q to a new connector q'.
 
-    Strict mode enforces chi(C) >= 6c + 17; relaxed mode proceeds best-effort
-    and reports which proof branch collapsed.  All eight output clauses are
-    machine-verified before returning.
+    The paper's chi(C) >= 6c + 17 (induction_threshold) guarantees success;
+    the step runs on any C and reports which proof branch collapsed.  All
+    eight output clauses are machine-verified before returning.
 
     The levelling of g[C + q] from q reaches all |C| + 1 vertices exactly
     when g[C + q] is connected.  The richest level t is at least 4, so M,
@@ -574,6 +563,8 @@ def rope_induction_step(
     than the least level of its neighbours in M; q itself is at distance 0.
     """
     b_set, c_set = frozenset(b_set), frozenset(c_set)
+    if c < 0:
+        raise PreconditionError("c must be non-negative")
     if odd_girth(g) < 11:
         raise PreconditionError("odd girth below 11")
     if b_set & c_set:
@@ -582,18 +573,16 @@ def rope_induction_step(
         raise PreconditionError("q must lie outside C")
     if not covers(g, b_set, c_set):
         raise PreconditionError("B does not cover C")
-    levelling = bfs_levelling(g.induced_subgraph(c_set | {q}), q)
-    levels, level = levelling.levels, levelling.level
+    levels = tuple(g.induced_subgraph(c_set | {q}).bfs_levels(q))
+    level = {v: d for d, vs in enumerate(levels) for v in vs}
     if len(level) != len(c_set) + 1:
         raise PreconditionError("g[C + q] not connected")
-    if strict:
-        _require_chi(g, c_set, induction_threshold(c), "C", "threshold")
 
     t, _ = _richest_level(g, levels)
     if t is None:
         raise VerificationError(
             "branch collapse: levelling from q has depth below 5",
-            detail={"branch": "levelling", "depth": levelling.depth()},
+            detail={"branch": "levelling", "depth": len(levels) - 1},
         )
 
     far = levels[t + 1] - g.ball(q, 4)
@@ -772,30 +761,23 @@ def build_broken_rope(
     q1,
     r: int,
     c: int,
-    strict: bool = True,
 ) -> BrokenRopeResult:
-    """Iterate the induction step r times, chaining each new connector as the
-    next start vertex, and assemble the resulting broken rope."""
+    """Iterate the induction step r times with target c, chaining each new
+    connector as the next start vertex, and assemble the resulting broken
+    rope.  The paper's chi(C) >= broken_rope_threshold(r, c) guarantees
+    success."""
     if r < 1:
         raise PreconditionError("r must be at least 1")
     b_cur, c_cur, q_cur = frozenset(b_set), frozenset(c_set), q1
-    if strict:
-        _require_chi(g, c_cur, broken_rope_threshold(r, c), "C", "broken-rope threshold")
     anchors = [q1]
     pairs = []
-    for step in range(r, 0, -1):
-        # strict mode chains the published intermediate targets; relaxed mode
-        # demands only the final bound at every depth
-        if strict and step > 1:
-            c_target = int(broken_rope_threshold(step - 1, c).__ceil__())
-        else:
-            c_target = c
+    for depth in range(1, r + 1):
         try:
-            res = rope_induction_step(g, b_cur, c_cur, q_cur, c_target, strict=False)
+            res = rope_induction_step(g, b_cur, c_cur, q_cur, c)
         except VerificationError as failure:
             raise VerificationError(
-                f"broken-rope induction failed at depth {r - step + 1}",
-                detail={"depth": r - step + 1, "cause": failure.detail or str(failure)},
+                f"broken-rope induction failed at depth {depth}",
+                detail={"depth": depth, "cause": failure.detail or str(failure)},
             ) from failure
         pairs.append((list(res.q1), list(res.q0)))
         anchors.append(res.q_prime)
@@ -881,19 +863,19 @@ def find_rope(
     x_set,
     r: int,
     c: int = 3,
-    strict: bool = False,
 ) -> ArithmeticRope:
     """Find an r-rope inside X: BFS levelling, broken rope in a deep level,
-    and a closing path through the lower levels.  Relaxed mode falls back to
-    chain-decomposition recovery when the constructive pipeline collapses
-    (desk-scale inputs rarely reach the pipeline's chromatic demands)."""
+    and a closing path through the lower levels.  When the constructive
+    pipeline collapses, fall back to chain-decomposition recovery
+    (desk-scale inputs rarely reach the paper's chi(X) >=
+    finder_threshold(r), which guarantees the pipeline)."""
     x_set = frozenset(x_set)
     if r < 2:
         raise PreconditionError("r must be at least 2")
+    if c < 0:
+        raise PreconditionError("c must be non-negative")
     if odd_girth(g) < 11:
         raise PreconditionError("odd girth below 11")
-    if strict:
-        _require_chi(g, x_set, finder_threshold(r), "X", "finder threshold")
     try:
         return _find_rope_pipeline(g, x_set, r, c)
     except (VerificationError, PreconditionError) as e:
@@ -918,19 +900,18 @@ def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> ArithmeticRope:
     if len(comps) > 1:
         big = next((comp for comp in comps if len(comp) > COMBINATORIAL_CAP), None)
         sub = g.induced_subgraph(big or _max_chi_component(g, x_set)[0])
-    levelling = bfs_levelling(sub, sub.vertices[0])
-    levels = levelling.levels
+    levels = tuple(sub.bfs_levels(sub.vertices[0]))
     s, c_comp = _richest_level(g, levels)
     if s is None:
         raise VerificationError(
-            "rope pipeline: levelling too shallow", detail={"depth": levelling.depth()}
+            "rope pipeline: levelling too shallow", detail={"depth": len(levels) - 1}
         )
     q1 = min((v for v in levels[s] if g.neighbours(v) & c_comp), key=label_key, default=None)
     if q1 is None:
         raise VerificationError("rope pipeline: no connector into the deep level")
     b_level = frozenset(levels[s])
     c_level = frozenset(c_comp)
-    broken = build_broken_rope(g, b_level, c_level, q1, r, c, strict=False)
+    broken = build_broken_rope(g, b_level, c_level, q1, r, c)
     rope = _close_broken_rope(g, broken, levels, s, q1)
     verify_rope(g, rope)
     return rope

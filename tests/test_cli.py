@@ -231,10 +231,11 @@ def test_cli_outputs_digests_what_each_subcommand_prints(capsys, tmp_path):
     assert done.returncode == 0 and done.stderr == ""
     rows = [line.split() for line in done.stdout.splitlines()]
     commands = ["oddgirth", "chi", "chistar", "tperfect", "hperfect", "hbarperfect",
-                "certify", "oddwheel-witness", "tcontract", "reduce"]
+                "certify", "oddwheel-witness", "tcontract", "reduce", "rope-find:--r=2"]
+    rope_commands = ["rope-generate", "rope-verify", "rope-find", "rope-find:--c=1", "rope-find:--r=3"]
     assert [row[:2] for row in rows if not row[0].startswith("verify:")] == [
         [c, name] for name in ("C5", "W5", "C7") for c in commands
-    ]
+    ] + [[c, f"gen{r}"] for r in (2, 3, 4) for c in rope_commands]
     assert {row[0] for row in rows if row[1] == "W5"} >= {
         "verify:certify/certificate", "verify:oddwheel-witness/trace"
     }
@@ -248,6 +249,8 @@ def test_cli_outputs_digests_what_each_subcommand_prints(capsys, tmp_path):
             path = tmp_path / "cert.json"
             path.write_text(json.dumps(data))
             got, out, err = run(capsys, "verify", f"corpus:{name}", str(path))
+        elif label.startswith("rope-"):
+            got, out, err = _replay_rope(capsys, tmp_path, label, name)
         else:
             flags = {
                 "oddgirth": [],
@@ -257,6 +260,21 @@ def test_cli_outputs_digests_what_each_subcommand_prints(capsys, tmp_path):
             got, out, err = run(capsys, label, f"corpus:{name}", *flags)
             outputs[label, name] = out
         assert (digest, code) == (hashlib.sha256((out + err).encode()).hexdigest(), str(got))
+
+
+def _replay_rope(capsys, tmp_path, label, name):
+    """Run the rope subcommand of a cli_outputs row: on corpus:NAME, or on
+    the rope and host that `rope generate R 7 8` gives for NAME genR."""
+    command, *options = label.removeprefix("rope-").split(":")
+    if not name.startswith("gen"):
+        return run(capsys, "rope", command, f"corpus:{name}", *options)
+    generate = ["generate", name[3:], "7", "8"]
+    data = json.loads(run(capsys, "rope", *generate)[1])
+    host, rope = tmp_path / "host.json", tmp_path / "rope.json"
+    host.write_text(json.dumps(data["graph"]))
+    rope.write_text(json.dumps(data["rope"]))
+    argv = {"generate": generate, "verify": ["verify", str(host), str(rope)]}
+    return run(capsys, "rope", *argv.get(command, [command, str(host), *options]))
 
 
 @pytest.mark.parametrize(
@@ -346,6 +364,22 @@ def test_rope_find_needs_two_anchors(capsys, tmp_path):
     for r in ("--r=1", "--r=0", "--r=-3"):
         code, out, err = run(capsys, "rope", "find", str(path), r)
         assert code == 2 and out == "" and err == "error: r must be at least 2\n"
+
+
+def test_rope_find_refuses_negative_c(capsys, tmp_path):
+    # a negative c is bad input (2), never "no rope" (1) nor a rope (0)
+    path = tmp_path / "layered.json"
+    path.write_text(serialize_graph(layered_instance()[0], "json"))
+    for c in ("--c=-1", "--c=-5"):
+        code, out, err = run(capsys, "rope", "find", str(path), c)
+        assert (code, out, err) == (2, "", "error: c must be non-negative\n")
+
+
+def test_rope_find_has_no_strict_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rope", "find", "corpus:C5", "--strict"])
+    assert exc.value.code == 64
+    assert "--strict" in capsys.readouterr().err
 
 
 def test_rope_find_in_disconnected_graph_beyond_cap(capsys, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from tperfect.errors import UnknownVertexError
 from tperfect.graphs import (
     Graph,
-    bfs_levelling,
     covers,
     is_cycle_induced,
     is_path_induced,
@@ -84,18 +83,15 @@ def test_shortest_odd_cycle_matches_brute_force(g):
 
 def test_bfs_levelling():
     p = Graph("abc", [("a", "b"), ("b", "c")])
-    lv = bfs_levelling(p, "a")
-    assert [set(s) for s in lv.levels] == [{"a"}, {"b"}, {"c"}]
-    lv5 = bfs_levelling(cycle(5), 0)
-    assert [len(s) for s in lv5.levels] == [1, 2, 2]
+    assert [set(s) for s in p.bfs_levels("a")] == [{"a"}, {"b"}, {"c"}]
+    assert [len(s) for s in cycle(5).bfs_levels(0)] == [1, 2, 2]
     star = Graph(range(4), [(0, i) for i in range(1, 4)])
-    assert [len(s) for s in bfs_levelling(star, 0).levels] == [1, 3]
+    assert [len(s) for s in star.bfs_levels(0)] == [1, 3]
 
 
 def test_levelling_edges_respect_levels():
     g = cycle(9)
-    lv = bfs_levelling(g, 0)
-    where = {v: i for i, level in enumerate(lv.levels) for v in level}
+    where = {v: i for i, level in enumerate(g.bfs_levels(0)) for v in level}
     for u, v in g.edges():
         assert abs(where[u] - where[v]) <= 1
 

@@ -238,7 +238,7 @@ def test_grading_validation():
 
 def test_rope_induction_step(layered):
     g, b_set, c_set, q1 = layered
-    res = rope_induction_step(g, b_set, c_set, q1, 0, strict=False)
+    res = rope_induction_step(g, b_set, c_set, q1, 0)
     assert res.q0[0] == q1 and res.q1[0] == q1
     assert res.q0[-1] == res.q_prime and res.q1[-1] == res.q_prime
     assert len(res.q0) % 2 == 1  # even number of edges
@@ -279,7 +279,7 @@ def test_rope_induction_through_branch(monkeypatch):
     monkeypatch.setattr(
         ropes, "_induction_branch_through", lambda *a: calls.append(a) or through(*a)
     )
-    res = rope_induction_step(g, b_set, c_set, q, 0, strict=False)
+    res = rope_induction_step(g, b_set, c_set, q, 0)
     assert len(calls) == 1
     spoke = lambda j: [("y", "A", j, i) for i in range(1, 5)]
     assert res == InductionResult(
@@ -295,15 +295,9 @@ def test_rope_induction_through_branch(monkeypatch):
     )
 
 
-def test_rope_induction_strict_threshold(layered):
-    g, b_set, c_set, q1 = layered
-    with pytest.raises(PreconditionError):
-        rope_induction_step(g, b_set, c_set, q1, 3, strict=True)
-
-
 def test_build_broken_rope(layered):
     g, b_set, c_set, q1 = layered
-    res = build_broken_rope(g, b_set, c_set, q1, 2, 0, strict=False)
+    res = build_broken_rope(g, b_set, c_set, q1, 2, 0)
     assert res.rope.r == 2
     assert verify_rope(g, res.rope)
 
@@ -322,10 +316,16 @@ def test_find_rope_shell_recovery():
     assert verify_rope(host, rec)
 
 
-def test_find_rope_strict_threshold(layered):
-    g, _, _, _ = layered
-    with pytest.raises(PreconditionError):
-        find_rope(g, frozenset(g.vertices), 5, strict=True)
+def test_negative_c_is_refused_before_any_work(layered, monkeypatch):
+    g, b_set, c_set, q1 = layered
+    monkeypatch.setattr(ropes, "odd_girth", lambda g: pytest.fail("work before the check"))
+    for call in (
+        lambda: find_rope(g, frozenset(g.vertices), 2, c=-1),
+        lambda: build_broken_rope(g, b_set, c_set, q1, 2, -1),
+        lambda: rope_induction_step(g, b_set, c_set, q1, -1),
+    ):
+        with pytest.raises(PreconditionError, match="c must be non-negative"):
+            call()
 
 
 def test_find_rope_rejects_low_odd_girth():
@@ -457,7 +457,7 @@ def broken_rope_clauses_failing(g, c_set, q1, c, res):
 @pytest.mark.parametrize("fixture, r", [("layered", 1), ("layered", 2), ("through", 1)])
 def test_broken_rope_clauses_hold(fixture, r):
     g, b_set, c_set, q1 = layered_instance() if fixture == "layered" else _through_instance()
-    res = build_broken_rope(g, b_set, c_set, q1, r, 0, strict=False)
+    res = build_broken_rope(g, b_set, c_set, q1, r, 0)
     assert res.rope.r == r and res.rope.anchors[0] == q1
     assert broken_rope_clauses_failing(g, c_set, q1, 0, res) == []
     # the written-out clauses are not vacuous
@@ -472,7 +472,7 @@ def test_broken_rope_clauses_hold(fixture, r):
 
 def test_audit_induction_step_rejects_tampering(layered):
     g, b_set, c_set, q = layered
-    res = rope_induction_step(g, b_set, c_set, q, 0, strict=False)
+    res = rope_induction_step(g, b_set, c_set, q, 0)
     assert audit_induction_step(g, b_set, c_set, q, 0, res)
     # B' reaching outside B, and B' missing the cover of a vertex of C'
     with pytest.raises(VerificationError, match="not nested"):

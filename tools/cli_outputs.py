@@ -6,13 +6,18 @@ NAME is anything ``tperfect.corpus.make`` accepts (``C7``, ``W17``, ...);
 with no names, every corpus graph.  For each graph and each subcommand
 (``oddgirth``; ``chi``, ``chistar``, ``tperfect``, ``hperfect``,
 ``hbarperfect``, ``certify`` and ``oddwheel-witness`` with ``--json``;
-``tcontract --vertex V --json`` at the graph's first vertex V and
-``reduce --ell 1 --json``) it prints one line: the subcommand, the graph,
-the sha256 of its standard output followed by its standard error, and its
-exit code.  Every certificate a subcommand prints is written to a file and
-given to ``verify``, and so are its nested ``certificate`` and ``trace``
-parts; those lines name the subcommand as ``verify:certify``,
-``verify:certify/certificate``, ``verify:certify/certificate/trace``, ...
+``tcontract --vertex V --json`` at the graph's first vertex V,
+``reduce --ell 1 --json`` and ``rope find --r 2``) it prints one line: the
+subcommand, the graph, the sha256 of its standard output followed by its
+standard error, and its exit code.  Every certificate a subcommand prints
+is written to a file and given to ``verify``, and so are its nested
+``certificate`` and ``trace`` parts; those lines name the subcommand as
+``verify:certify``, ``verify:certify/certificate``,
+``verify:certify/certificate/trace``, ...  Then, for r = 2..4, it prints
+the lines of ``rope generate r 7 8`` (graph ``genR``), of ``rope verify``
+on the generated rope, and of ``rope find`` on the generated host with the
+default options, ``--c 1`` and ``--r 3`` (subcommands ``rope-find``,
+``rope-find:--c=1`` and ``rope-find:--r=3``).
 The library is imported from this checkout's ``src``, so two checkouts
 compare by a ``diff`` of their outputs.  Run both under the same
 PYTHONHASHSEED.
@@ -88,7 +93,23 @@ def main(names: list) -> int:
             first = repr(corpus.make(name).vertices[0])
             report("tcontract", name, ["tcontract", g, "--vertex", first, "--json"])
             report("reduce", name, ["reduce", g, "--ell", "1", "--json"])
+            report("rope-find:--r=2", name, ["rope", "find", g, "--r=2"])
+        ropes(Path(scratch))
     return 0
+
+
+def ropes(scratch: Path) -> None:
+    """The lines of the rope subcommands on generated ropes and hosts."""
+    for r in (2, 3, 4):
+        name = f"gen{r}"
+        data = json.loads(report("rope-generate", name, ["rope", "generate", str(r), "7", "8"]))
+        host, rope = scratch / f"{name}.json", scratch / f"{name}.rope.json"
+        host.write_text(json.dumps(data["graph"]))
+        rope.write_text(json.dumps(data["rope"]))
+        report("rope-verify", name, ["rope", "verify", str(host), str(rope)])
+        for options in ((), ("--c=1",), ("--r=3",)):
+            label = ":".join(("rope-find", *options))
+            report(label, name, ["rope", "find", str(host), *options])
 
 
 if __name__ == "__main__":
