@@ -223,6 +223,15 @@ def parse_label(text: str):
         raise PreconditionError(f"unparseable label {text!r}") from e
 
 
+def _array(value, what: str) -> list:
+    """value if it is a JSON array, else PreconditionError: the parsers
+    iterate a certificate's lists, which would read a string or an object
+    in their place as a list of its characters or keys."""
+    if not isinstance(value, list):
+        raise PreconditionError(f"certificate {what} must be a JSON array")
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den) if den else 1)
@@ -242,10 +251,10 @@ def parse_fractional_colouring(data: dict):
 
     weights = tuple(
         (
-            frozenset(parse_label(v) for v in entry["vertices"]),
+            frozenset(parse_label(v) for v in _array(entry["vertices"], "set vertices")),
             _parse_fraction(entry["weight"]),
         )
-        for entry in data["sets"]
+        for entry in _array(data["sets"], "sets")
     )
     return FractionalColouring(weights=weights)
 
@@ -254,14 +263,14 @@ def parse_witness(data: dict):
     from .geometry import qvec
     from .polytopes import ImperfectionWitness
 
-    order = tuple(parse_label(v) for v in data["order"])
+    order = tuple(parse_label(v) for v in _array(data["order"], "order"))
     point = qvec(_parse_fraction(data["point"][repr(v)]) for v in order)
     extra = set(data["point"]).difference(map(repr, order))
     if extra:
         raise PreconditionError(f"witness point names {min(extra)!r}, which is not in its order")
     tight = tuple(
-        (entry["tag"], tuple(parse_label(s) for s in entry["source"]))
-        for entry in data["tight"]
+        (entry["tag"], tuple(parse_label(s) for s in _array(entry["source"], "source")))
+        for entry in _array(data["tight"], "tight")
     )
     return ImperfectionWitness(
         relaxation=data["relaxation"], order=order, point=point, tight_tags=tight
@@ -269,8 +278,11 @@ def parse_witness(data: dict):
 
 
 def _parse_trace_graph(data: dict) -> Graph:
-    vertices = [parse_label(v) for v in data["vertices"]]
-    edges = [(parse_label(u), parse_label(v)) for u, v in data["edges"]]
+    vertices = [parse_label(v) for v in _array(data["vertices"], "vertices")]
+    edges = [
+        (parse_label(u), parse_label(v))
+        for u, v in (_array(e, "edge") for e in _array(data["edges"], "edges"))
+    ]
     return Graph(vertices, edges)
 
 
@@ -281,11 +293,11 @@ def parse_trace(data: dict):
         base=_parse_trace_graph(data["base"]),
         steps=tuple(
             TMinorStep(kind=s["kind"], vertex=parse_label(s["vertex"]))
-            for s in data["steps"]
+            for s in _array(data["steps"], "steps")
         ),
         result=_parse_trace_graph(data["result"]),
         contraction_map={
-            parse_label(v): frozenset(parse_label(u) for u in cls)
+            parse_label(v): frozenset(parse_label(u) for u in _array(cls, "class"))
             for v, cls in data["contraction_map"].items()
         },
     )
@@ -297,7 +309,7 @@ def parse_wheel_witness(data: dict):
     return OddWheelWitness(
         trace=parse_trace(data["trace"]),
         hub=parse_label(data["hub"]),
-        rim=tuple(parse_label(v) for v in data["rim"]),
+        rim=tuple(parse_label(v) for v in _array(data["rim"], "rim")),
     )
 
 
@@ -309,13 +321,13 @@ def parse_rope(data: dict):
     kind = {"rope": ArithmeticRope, "broken_rope": BrokenRope}.get(data["kind"])
     if kind is None:
         raise PreconditionError(f"unknown rope kind {data['kind']!r}")
-    anchors = tuple(decode_label(q) for q in data["anchors"])
+    anchors = tuple(decode_label(q) for q in _array(data["anchors"], "anchors"))
     paths = tuple(
         (
-            [decode_label(v) for v in p1],
-            [decode_label(v) for v in p2],
+            [decode_label(v) for v in _array(p1, "path")],
+            [decode_label(v) for v in _array(p2, "path")],
         )
-        for p1, p2 in data["paths"]
+        for p1, p2 in (_array(pair, "path pair") for pair in _array(data["paths"], "paths"))
     )
     if not all(p1 and p2 for p1, p2 in paths):
         raise PreconditionError("rope has an empty constituent path")

@@ -14,7 +14,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from hashlib import blake2b
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Optional
 
 from .errors import PreconditionError, UnknownVertexError, VerificationError
@@ -458,6 +458,43 @@ def _child(nb: list, alive: int, kind: str, v: int):
     return child, (alive & ~merged) | low, merged | outside
 
 
+def _packed_child(packed: int, nb: list, alive: int, made, shifts) -> int:
+    """The packed int of a child that _child made from the graph with
+    packed int packed, neighbour masks nb and alive mask alive: packed
+    with the alive mask and the neighbour masks that _child changed
+    XORed in."""
+    child, child_alive, touched = made
+    out = packed ^ alive ^ child_alive
+    for u in _bits(touched):
+        out ^= (nb[u] ^ child[u]) << shifts[u]
+    return out
+
+
+def _popped(queue: deque, moves: list, keys: _WLKey, seen: set, done: set, full: int, shifts):
+    """The traces the search expands after its root, in order, as (steps,
+    packed int, neighbour masks, alive mask).  Each queue entry is a family:
+    an expanded trace's steps and packed int, and the indices into moves
+    of its children that passed the tests made as they were made.  A
+    family is unpacked when it is popped, and its children are rebuilt by
+    _child in turn.  One whose packed int is in done, or whose key is in
+    seen, is dropped; the others add their key to seen and are yielded."""
+    while queue:
+        steps, packed, kept = queue.popleft()
+        alive = packed & full
+        nb = [(packed >> s) & full for s in shifts]
+        for k in kept:
+            move = moves[k]
+            made = _child(nb, alive, move.kind, k >> 1)
+            child_packed = _packed_child(packed, nb, alive, made, shifts)
+            if child_packed in done:
+                continue
+            child, child_alive, _ = made
+            key = keys(child, _bits(child_alive))
+            if key not in seen:
+                seen.add(key)
+                yield steps + (move,), child_packed, child, child_alive
+
+
 def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitness]:
     """Budgeted search for a replayable trace ending in an odd wheel.
 
@@ -478,15 +515,15 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     The search is breadth-first over traces, memoized on _WLKey (collisions
     only lose completeness: every hit is re-verified).  Vertices are indexed in
     label order, and a graph of the search is a list of neighbour bitmasks
-    plus a mask of the vertices alive.  A contraction keeps the least index
-    of the merged class, as TraceBuilder.tcontract keeps its least label.
-    So after the same steps the alive indices are the vertices of the
-    replayed graph, and the children of a trace come in the order of its
-    vertices.  The queue holds each trace's steps next to its masks packed
-    into one int, so a popped trace is unpacked, never replayed.  A child is
-    replayed through TraceBuilder only when it may be an odd wheel: an even
-    number n >= 4 of vertices, one of degree n - 1.  That replay builds the
-    witness, and verify_odd_wheel_witness checks it.
+    plus a mask of the vertices alive, packed into one int: the alive mask
+    in the lowest bits, then each neighbour mask in turn.  A contraction
+    keeps the least index of the merged class, as TraceBuilder.tcontract
+    keeps its least label.  So after the same steps the alive indices are
+    the vertices of the replayed graph, and the children of a trace come in
+    the order of its vertices.  A child is replayed through TraceBuilder
+    only when it may be an odd wheel: an even number n >= 4 of vertices,
+    one of degree n - 1.  That replay builds the witness, and
+    verify_odd_wheel_witness checks it.
 
     One _WLKey serves the whole search, and its interned labels split
     graphs exactly as the string labels of earlier versions did.  Each s1
@@ -495,29 +532,51 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     and s2 values are in bijection too.  The sorted s2 ids of a graph are
     then its s2 counts written out (the full argument is in _WLKey).
 
-    A child's key is computed only when its packed int is in neither of
-    two sets.  ``queued`` holds the packed int of every trace that went into
-    the queue, the root's included.  ``met`` holds every child packed since
-    the popped traces last changed their steps[:-1], and is cleared when
-    they do.  Siblings are popped one after another, and their children are
-    often one graph reached by the same steps in another order.  A hit is
-    an exact copy of a graph met earlier: the same alive mask and the same
-    neighbour masks.  So each test of the loop gives it that graph's
-    answer.  Too small or with no odd cycle, it is dropped as before.  An
-    odd wheel would have ended the search.  Otherwise that graph's key,
-    which is its own, is in ``seen``, and pruning on the key alone would
-    drop it there.  The queue, the ``expanded`` count, every budget cut-off
-    and the first witness are thus those of pruning on the key alone.
+    Expanding a trace makes its children, and each child meets three tests
+    as it is made.  A child that is an exact copy of a graph met earlier
+    (the same packed int) is skipped.  A child with fewer than four
+    vertices or no odd cycle is dropped.  A child that may be an odd wheel
+    is replayed, and the search ends if it is one.  The queue holds one
+    family per expanded trace with children left: the trace's steps, its
+    packed int and the indices into ``moves`` of those children, in the
+    order made.  A child is rebuilt by _child and keyed only when its
+    family reaches the front of the queue (_popped).  If its key is in
+    ``seen`` it is dropped: it does not count toward the budget and does
+    not touch ``met``.  Otherwise its key joins ``seen`` and it is expanded.
 
-    Memory stays bounded by what the queue already needs.  ``queued`` has
-    one entry per key in ``seen``, and its ints are the ones the queue
-    holds or held, not a copy per child.  ``met`` holds the children of one
-    family of at most 2n siblings (and the root, whose steps[:-1] is theirs
-    too), at most 2n each, so at most 2n(2n + 1) ints.
-    Besides these, the 16-byte keys and the interned labels of _WLKey, the
-    search keeps only its queue: per trace, the steps and one packed int.
-    A child's packed int is its parent's with the masks that _child
-    changed XORed in.
+    This expands the traces that keying each child as it is made, and
+    queueing it only if its key is new, would expand, in the same order.
+    The queue is first in, first out, and so children are popped in the
+    order they were made.  The first child made with a key K is thus
+    popped before every later child with key K; it is the one that keying
+    at creation queues, and the later ones are dropped by both.  So the
+    expanded traces and their order, the children made, the ``budget``
+    cut-off and the first witness are those of keying at creation.  The
+    keys saved are those of children never popped: the ones still queued
+    when the witness turns up or the budget runs out.
+
+    The exact-copy test keeps that, since a copy gets the answers of the
+    graph it copies: too small or with no odd cycle, it is dropped as
+    that graph was; an odd wheel would have ended the search; otherwise it
+    is popped after that graph, whose key, which is its own, is in
+    ``seen`` by then.  Three sets find copies.  ``done`` holds the packed
+    int of every expanded trace, the root's included; a popped child found
+    in it is dropped before it is keyed.  ``met`` holds every child made
+    since the expanded traces last changed their steps[:-1], and is cleared
+    when they do: siblings are expanded one after another, and their
+    children are often one graph reached by the same steps in another
+    order.  ``replayed`` holds every child replayed, so no graph is
+    replayed twice.
+
+    Memory: the queue holds, per expanded trace with children left, its
+    steps, one packed int and one small int per child left; the children's
+    packed ints and steps are made again when they are popped.  ``done``
+    and ``seen`` have at most budget + 1 entries, the keys of ``seen``
+    being 16 bytes each; ``met`` holds the children of one family of at
+    most 2n siblings (and the root, whose steps[:-1] is theirs too), at
+    most 2n each, so at most 2n(2n + 1) ints; ``replayed`` has one int per
+    replay.  A child's packed int is its parent's with the masks that
+    _child changed XORed in (_packed_child).
     """
     if budget < 0:
         raise PreconditionError(f"budget must be non-negative, got {budget}")
@@ -535,53 +594,47 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     # then the neighbour mask of each index in turn
     shifts = range(size, size * (size + 1), size)
     full = (1 << size) - 1
-    # one step object per move, shared by every trace that makes it
-    moves = [(TMinorStep("tcontract", v), TMinorStep("delete", v)) for v in g.vertices]
+    # one step object per move, shared by every trace that makes it: the
+    # move with index k acts on the vertex with index k >> 1
+    moves = [TMinorStep(kind, v) for v in g.vertices for kind in ("tcontract", "delete")]
     keys = _WLKey()
     seen = {keys(nb, list(range(size)))}
     root = full | sum(m << s for m, s in zip(nb, shifts))
-    queue = deque([((), root)])
-    queued = {root}
-    met, prefix = set(), ()
-    expanded = 0
-    while queue and expanded < budget:
-        steps, packed = queue.popleft()
+    queue = deque()
+    done = {root}
+    met, replayed, prefix = set(), set(), ()
+    traces = chain([((), root, nb, full)], _popped(queue, moves, keys, seen, done, full, shifts))
+    for steps, packed, nb, alive in islice(traces, budget):
         if steps[:-1] != prefix:
             prefix = steps[:-1]
             met.clear()
-        alive = packed & full
-        nb = [(packed >> s) & full for s in shifts]
-        expanded += 1
-        vs = _bits(alive)
-        for v in vs:
-            for move in moves[v]:
-                made = _child(nb, alive, move.kind, v)
+        done.add(packed)
+        kept = []
+        for v in _bits(alive):
+            for k in (2 * v, 2 * v + 1):
+                made = _child(nb, alive, moves[k].kind, v)
                 if made is None:
                     continue
-                child, child_alive, touched = made
-                child_packed = packed ^ alive ^ child_alive
-                for u in _bits(touched):
-                    child_packed ^= (nb[u] ^ child[u]) << shifts[u]
-                if child_packed in queued or child_packed in met:
+                child_packed = _packed_child(packed, nb, alive, made, shifts)
+                if child_packed in done or child_packed in met or child_packed in replayed:
                     continue
                 met.add(child_packed)
+                child, child_alive, _ = made
                 n = child_alive.bit_count()
                 if n < 4 or not _has_odd_cycle(child, child_alive):
                     continue
-                child_steps = steps + (move,)
                 if n % 2 == 0 and n - 1 in map(int.bit_count, child):
-                    replayed = _replayed(g, child_steps)
-                    decomposition = is_odd_wheel(replayed.graph)
+                    replayed.add(child_packed)
+                    builder = _replayed(g, steps + (moves[k],))
+                    decomposition = is_odd_wheel(builder.graph)
                     if decomposition is not None:
                         hub_v, rim = decomposition
                         witness = OddWheelWitness(
-                            trace=replayed.trace(), hub=hub_v, rim=tuple(rim)
+                            trace=builder.trace(), hub=hub_v, rim=tuple(rim)
                         )
                         verify_odd_wheel_witness(witness)
                         return witness
-                key = keys(child, [u for u in vs if child_alive >> u & 1])
-                if key not in seen:
-                    seen.add(key)
-                    queued.add(child_packed)
-                    queue.append((child_steps, child_packed))
+                kept.append(k)
+        if kept:
+            queue.append((steps, packed, kept))
     return None

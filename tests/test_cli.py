@@ -481,6 +481,30 @@ def _set_without_weight(capsys):
     return json.dumps(data)
 
 
+def _wheel_rim_string(capsys):
+    data = _k4_certificate(capsys, "oddwheel-witness")
+    data["rim"] = "123"
+    return json.dumps(data)
+
+
+def _trace_steps_object(capsys):
+    data = _k4_certificate(capsys, "oddwheel-witness")
+    data["trace"]["steps"] = {}
+    return json.dumps(data)
+
+
+def _trace_vertices_string(capsys):
+    data = _k4_certificate(capsys, "oddwheel-witness")
+    data["trace"]["base"]["vertices"] = "0123"
+    return json.dumps(data)
+
+
+def _tight_object(capsys):
+    data = _k4_certificate(capsys, "tperfect")
+    data["tight"] = {}
+    return json.dumps(data)
+
+
 def _rope_text(capsys):
     code, out, _ = run(capsys, "rope", "generate", "2", "7", "8")
     return json.dumps(json.loads(out)["rope"])
@@ -541,6 +565,10 @@ def _envelope_of_unknown_kind(capsys):
         ("verify", lambda capsys: b"\xff\xfe{\x00}\x00"),
         ("verify", _witness_labelled_colouring),
         ("verify", _envelope_of_unknown_kind),
+        ("verify", _wheel_rim_string),
+        ("verify", _trace_steps_object),
+        ("verify", _trace_vertices_string),
+        ("verify", _tight_object),
     ],
     ids=[
         "point-missing-key",
@@ -561,6 +589,10 @@ def _envelope_of_unknown_kind(capsys):
         "certificate-not-utf8",
         "envelope-kind-contradicts-body",
         "envelope-kind-unknown",
+        "wheel-rim-string",
+        "trace-steps-object",
+        "trace-vertices-string",
+        "witness-tight-object",
     ],
 )
 def test_malformed_certificates_are_usage_errors(capsys, tmp_path, command, make_text):

@@ -13,9 +13,12 @@ from tperfect.graphio import (
     guess_format,
     identify_certificate,
     parse_colouring,
+    parse_fractional_colouring,
     parse_graph,
     parse_label,
+    parse_rope,
     parse_trace,
+    parse_wheel_witness,
     parse_witness,
     serialize_graph,
     to_edge_list,
@@ -154,3 +157,58 @@ def test_identify_certificate_shapes():
     assert identify_certificate({"kind": "rope", "anchors": [], "paths": []}) == "rope"
     with pytest.raises(PreconditionError):
         identify_certificate({"mystery": 1})
+
+
+def _certificate(kind):
+    """(parser, JSON data) of one small certificate of the given kind."""
+    from tperfect.colouring import chi_fractional
+    from tperfect.polytopes import is_t_perfect
+    from tperfect.ropes import generate_rope
+    from tperfect.tminors import find_odd_wheel_tminor
+
+    if kind == "witness":
+        return parse_witness, is_t_perfect(make("K4"))[1].to_data()
+    if kind == "fractional":
+        return parse_fractional_colouring, chi_fractional(make("C5"))[1].to_data()
+    if kind == "rope":
+        return parse_rope, generate_rope(2, 7, 8)[1].to_data()
+    # C9 plus a hub seeing 0, 3 and 6: a witness with three contractions
+    edges = [(i, (i + 1) % 9) for i in range(9)] + [(p, "v") for p in (0, 3, 6)]
+    return parse_wheel_witness, find_odd_wheel_tminor(Graph([*range(9), "v"], edges)).to_data()
+
+
+# the place of every list in the certificate formats, as a path of keys
+CERTIFICATE_LISTS = [
+    ("witness", ("order",)),
+    ("witness", ("tight",)),
+    ("witness", ("tight", 0, "source")),
+    ("fractional", ("sets",)),
+    ("fractional", ("sets", 0, "vertices")),
+    ("wheel", ("rim",)),
+    ("wheel", ("trace", "steps")),
+    ("wheel", ("trace", "base", "vertices")),
+    ("wheel", ("trace", "base", "edges")),
+    ("wheel", ("trace", "result", "edges", 0)),
+    ("wheel", ("trace", "contraction_map", "'v'")),
+    ("rope", ("anchors",)),
+    ("rope", ("paths",)),
+    ("rope", ("paths", 0)),
+    ("rope", ("paths", 0, 1)),
+]
+
+
+@pytest.mark.parametrize("value", ["01", {"0": 1}], ids=["string", "object"])
+@pytest.mark.parametrize(
+    "kind, path", CERTIFICATE_LISTS, ids=["-".join(map(str, [k, *p])) for k, p in CERTIFICATE_LISTS]
+)
+def test_certificate_lists_must_be_json_arrays(kind, path, value):
+    # a parser iterating a string or an object in place of a list would
+    # read it as the list of its characters or keys
+    parser, data = _certificate(kind)
+    *outer, last = path
+    target = data
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(PreconditionError, match="must be a JSON array"):
+        parser(data)

@@ -15,6 +15,7 @@ from tperfect.errors import PreconditionError, VerificationError
 from tperfect.corpus import cycle, complete, make, wheel
 from tperfect.graphs import Graph, label_key, odd_girth
 from tperfect.polytopes import is_t_perfect
+from tperfect import tminors
 from tperfect.tminors import (
     OddWheelWitness,
     TMinorStep,
@@ -469,6 +470,40 @@ def _search_without_skips(g, budget):
                     seen.add(key)
                     queue.append((child_steps, child, child_alive))
     return None
+
+
+def test_search_keys_a_child_only_when_it_is_popped(monkeypatch):
+    # W9 + 7 meets its witness while expanding depth-3 traces, so the
+    # depth-4 children made by then are never popped: keying every child
+    # as it is made would compute 3989 keys, keying it when popped 1022
+    calls = []
+
+    class CountingKey(_WLKey):
+        __slots__ = ()
+
+        def __call__(self, nb, vs):
+            calls.append(len(vs))
+            return super().__call__(nb, vs)
+
+    monkeypatch.setattr(tminors, "_WLKey", CountingKey)
+    assert find_odd_wheel_tminor(pendant(make("W9"), 7)) is not None
+    assert len(calls) <= 1100
+
+
+def test_search_matches_key_pruning_on_deep_frontiers():
+    # random 6-11 vertex graphs seldom queue a trace deeper than a few
+    # steps; the pendant wheels of _search_batch and the co-C7 and moebius8
+    # tails queue many.  At budget 100 several pendant wheels are cut off
+    # before their witness, so the comparison also sees how many traces
+    # are expanded
+    cases = [
+        (pendant(make(f"W{k}"), tail), budget)
+        for k in (5, 7, 9, 11, 13) for tail in range(7) for budget in (100, 4000)
+    ]
+    cases += [(pendant(make(name), tail), 50) for name in ("co-C7", "moebius8") for tail in range(7)]
+    for g, budget in cases:
+        w, reference = find_odd_wheel_tminor(g, budget), _search_without_skips(g, budget)
+        assert (w and w.to_json()) == (reference and reference.to_json())
 
 
 @st.composite
