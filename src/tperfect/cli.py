@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -324,12 +325,12 @@ _ENVELOPE_KIND = {"colouring": "colouring", "witness": "witness", "wheel": "witn
 
 def _verify_dispatch(g: Graph, data) -> bool:
     kind = graphio.identify_certificate(data)
-    while kind == "certificate":
-        # an envelope's kind must match its body's: the next envelope's kind,
-        # or the kind certify writes around the certificate it holds
+    if kind == "certificate":
+        # certify writes one envelope, of the kind it writes around the
+        # certificate it holds
         outer, data = data["kind"], data["certificate"]
         kind = graphio.identify_certificate(data)
-        inner = data["kind"] if kind == "certificate" else _ENVELOPE_KIND.get(kind)
+        inner = _ENVELOPE_KIND.get(kind)
         if inner is None or outer != inner:
             raise PreconditionError(
                 f"certificate envelope of kind {outer!r} does not match what it holds"
@@ -491,9 +492,16 @@ def main(argv=None) -> int:
     wrapper, say) is the one that runs."""
     args = build_parser().parse_args(argv)
     try:
-        return globals()[args.func.__name__](args)
+        code = globals()[args.func.__name__](args)
+        sys.stdout.flush()
+        return code
     except TPerfectError as e:
         _report(f"error: {e}", e)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

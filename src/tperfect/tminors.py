@@ -431,9 +431,8 @@ def _has_odd_cycle(nb: list, alive: int) -> bool:
 
 
 def _child(nb: list, alive: int, kind: str, v: int):
-    """The neighbour masks and alive mask after one step at v, and the mask
-    of the indices whose neighbour masks may differ from nb; or None for a
-    contraction whose neighbourhood is not stable.  A contraction merges
+    """The neighbour masks and alive mask after one step at v, or None for
+    a contraction whose neighbourhood is not stable.  A contraction merges
     N[v] into its least index."""
     child = nb[:]
     ns = nb[v]
@@ -441,7 +440,7 @@ def _child(nb: list, alive: int, kind: str, v: int):
         for u in _bits(ns):
             child[u] = nb[u] ^ (1 << v)
         child[v] = 0
-        return child, alive ^ (1 << v), ns | (1 << v)
+        return child, alive ^ (1 << v)
     outside = 0
     for u in _bits(ns):
         if nb[u] & ns:
@@ -455,44 +454,30 @@ def _child(nb: list, alive: int, kind: str, v: int):
     for u in _bits(outside):
         child[u] = (nb[u] & ~merged) | low
     child[low.bit_length() - 1] = outside
-    return child, (alive & ~merged) | low, merged | outside
+    return child, (alive & ~merged) | low
 
 
-def _packed_child(packed: int, nb: list, alive: int, made, shifts) -> int:
-    """The packed int of a child that _child made from the graph with
-    packed int packed, neighbour masks nb and alive mask alive: packed
-    with the alive mask and the neighbour masks that _child changed
-    XORed in."""
-    child, child_alive, touched = made
-    out = packed ^ alive ^ child_alive
-    for u in _bits(touched):
-        out ^= (nb[u] ^ child[u]) << shifts[u]
-    return out
-
-
-def _popped(queue: deque, moves: list, keys: _WLKey, seen: set, done: set, full: int, shifts):
+def _popped(queue: deque, moves: list, keys: _WLKey, seen: set, done: set):
     """The traces the search expands after its root, in order, as (steps,
-    packed int, neighbour masks, alive mask).  Each queue entry is a family:
-    an expanded trace's steps and packed int, and the indices into moves
-    of its children that passed the tests made as they were made.  A
-    family is unpacked when it is popped, and its children are rebuilt by
-    _child in turn.  One whose packed int is in done, or whose key is in
-    seen, is dropped; the others add their key to seen and are yielded."""
+    graph, neighbour masks, alive mask), where graph is the tuple (alive
+    mask, *neighbour masks).  Each queue entry is a family: an expanded
+    trace's steps and graph, and the indices into moves of its children
+    that passed the tests made as they were made.  When a family is
+    popped, its children are rebuilt by _child in turn.  One whose graph
+    is in done, or whose key is in seen, is dropped; the others add their
+    key to seen and are yielded."""
     while queue:
-        steps, packed, kept = queue.popleft()
-        alive = packed & full
-        nb = [(packed >> s) & full for s in shifts]
+        steps, (alive, *nb), kept = queue.popleft()
         for k in kept:
             move = moves[k]
-            made = _child(nb, alive, move.kind, k >> 1)
-            child_packed = _packed_child(packed, nb, alive, made, shifts)
-            if child_packed in done:
+            child, child_alive = _child(nb, alive, move.kind, k >> 1)
+            graph = (child_alive, *child)
+            if graph in done:
                 continue
-            child, child_alive, _ = made
             key = keys(child, _bits(child_alive))
             if key not in seen:
                 seen.add(key)
-                yield steps + (move,), child_packed, child, child_alive
+                yield steps + (move,), graph, child, child_alive
 
 
 def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitness]:
@@ -515,15 +500,14 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     The search is breadth-first over traces, memoized on _WLKey (collisions
     only lose completeness: every hit is re-verified).  Vertices are indexed in
     label order, and a graph of the search is a list of neighbour bitmasks
-    plus a mask of the vertices alive, packed into one int: the alive mask
-    in the lowest bits, then each neighbour mask in turn.  A contraction
-    keeps the least index of the merged class, as TraceBuilder.tcontract
-    keeps its least label.  So after the same steps the alive indices are
-    the vertices of the replayed graph, and the children of a trace come in
-    the order of its vertices.  A child is replayed through TraceBuilder
-    only when it may be an odd wheel: an even number n >= 4 of vertices,
-    one of degree n - 1.  That replay builds the witness, and
-    verify_odd_wheel_witness checks it.
+    plus a mask of the vertices alive; the tuple (alive mask, *neighbour
+    masks) is its identity.  A contraction keeps the least index of the
+    merged class, as TraceBuilder.tcontract keeps its least label.  So
+    after the same steps the alive indices are the vertices of the replayed
+    graph, and the children of a trace come in the order of its vertices.
+    A child is replayed through TraceBuilder only when it may be an odd
+    wheel: an even number n >= 4 of vertices, one of degree n - 1.  That
+    replay builds the witness, and verify_odd_wheel_witness checks it.
 
     One _WLKey serves the whole search, and its interned labels split
     graphs exactly as the string labels of earlier versions did.  Each s1
@@ -534,12 +518,12 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
 
     Expanding a trace makes its children, and each child meets three tests
     as it is made.  A child that is an exact copy of a graph met earlier
-    (the same packed int) is skipped.  A child with fewer than four
+    (the same identity tuple) is skipped.  A child with fewer than four
     vertices or no odd cycle is dropped.  A child that may be an odd wheel
     is replayed, and the search ends if it is one.  The queue holds one
     family per expanded trace with children left: the trace's steps, its
-    packed int and the indices into ``moves`` of those children, in the
-    order made.  A child is rebuilt by _child and keyed only when its
+    identity tuple and the indices into ``moves`` of those children, in
+    the order made.  A child is rebuilt by _child and keyed only when its
     family reaches the front of the queue (_popped).  If its key is in
     ``seen`` it is dropped: it does not count toward the budget and does
     not touch ``met``.  Otherwise its key joins ``seen`` and it is expanded.
@@ -559,24 +543,23 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
     graph it copies: too small or with no odd cycle, it is dropped as
     that graph was; an odd wheel would have ended the search; otherwise it
     is popped after that graph, whose key, which is its own, is in
-    ``seen`` by then.  Three sets find copies.  ``done`` holds the packed
-    int of every expanded trace, the root's included; a popped child found
-    in it is dropped before it is keyed.  ``met`` holds every child made
-    since the expanded traces last changed their steps[:-1], and is cleared
-    when they do: siblings are expanded one after another, and their
-    children are often one graph reached by the same steps in another
-    order.  ``replayed`` holds every child replayed, so no graph is
-    replayed twice.
+    ``seen`` by then.  Three sets of identity tuples find copies.  ``done``
+    holds every expanded trace's graph, the root's included; a popped child
+    found in it is dropped before it is keyed.  ``met`` holds every child
+    made since the expanded traces last changed their steps[:-1], and is
+    cleared when they do: siblings are expanded one after another, and
+    their children are often one graph reached by the same steps in
+    another order.  ``replayed`` holds every child replayed, so no graph
+    is replayed twice.
 
     Memory: the queue holds, per expanded trace with children left, its
-    steps, one packed int and one small int per child left; the children's
-    packed ints and steps are made again when they are popped.  ``done``
-    and ``seen`` have at most budget + 1 entries, the keys of ``seen``
-    being 16 bytes each; ``met`` holds the children of one family of at
-    most 2n siblings (and the root, whose steps[:-1] is theirs too), at
-    most 2n each, so at most 2n(2n + 1) ints; ``replayed`` has one int per
-    replay.  A child's packed int is its parent's with the masks that
-    _child changed XORed in (_packed_child).
+    steps, its identity tuple (the one in ``done``) and one small int per
+    child left; the children's masks and steps are made again when they
+    are popped.  ``done`` and ``seen`` have at most budget + 1 entries: a
+    tuple of n + 1 masks each in ``done``, a 16-byte key each in ``seen``;
+    ``met`` holds the children of one family of at most 2n siblings (and
+    the root, whose steps[:-1] is theirs too), at most 2n each, so at most
+    2n(2n + 1) tuples; ``replayed`` has one tuple per replay.
     """
     if budget < 0:
         raise PreconditionError(f"budget must be non-negative, got {budget}")
@@ -587,44 +570,39 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
         cycle, v = hub
         return extract_wheel_from_hub(g, cycle, v)
 
-    size = g.n
     index = {v: i for i, v in enumerate(g.vertices)}
     nb = [sum(1 << index[w] for w in g.neighbours(v)) for v in g.vertices]
-    # a graph packs into one int: the alive mask in the lowest size bits,
-    # then the neighbour mask of each index in turn
-    shifts = range(size, size * (size + 1), size)
-    full = (1 << size) - 1
+    full = (1 << g.n) - 1
     # one step object per move, shared by every trace that makes it: the
     # move with index k acts on the vertex with index k >> 1
     moves = [TMinorStep(kind, v) for v in g.vertices for kind in ("tcontract", "delete")]
     keys = _WLKey()
-    seen = {keys(nb, list(range(size)))}
-    root = full | sum(m << s for m, s in zip(nb, shifts))
+    seen = {keys(nb, list(range(g.n)))}
     queue = deque()
-    done = {root}
+    done = set()
     met, replayed, prefix = set(), set(), ()
-    traces = chain([((), root, nb, full)], _popped(queue, moves, keys, seen, done, full, shifts))
-    for steps, packed, nb, alive in islice(traces, budget):
+    traces = chain([((), (full, *nb), nb, full)], _popped(queue, moves, keys, seen, done))
+    for steps, graph, nb, alive in islice(traces, budget):
         if steps[:-1] != prefix:
             prefix = steps[:-1]
             met.clear()
-        done.add(packed)
+        done.add(graph)
         kept = []
         for v in _bits(alive):
             for k in (2 * v, 2 * v + 1):
                 made = _child(nb, alive, moves[k].kind, v)
                 if made is None:
                     continue
-                child_packed = _packed_child(packed, nb, alive, made, shifts)
-                if child_packed in done or child_packed in met or child_packed in replayed:
+                child, child_alive = made
+                child_graph = (child_alive, *child)
+                if child_graph in done or child_graph in met or child_graph in replayed:
                     continue
-                met.add(child_packed)
-                child, child_alive, _ = made
+                met.add(child_graph)
                 n = child_alive.bit_count()
                 if n < 4 or not _has_odd_cycle(child, child_alive):
                     continue
                 if n % 2 == 0 and n - 1 in map(int.bit_count, child):
-                    replayed.add(child_packed)
+                    replayed.add(child_graph)
                     builder = _replayed(g, steps + (moves[k],))
                     decomposition = is_odd_wheel(builder.graph)
                     if decomposition is not None:
@@ -636,5 +614,5 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
                         return witness
                 kept.append(k)
         if kept:
-            queue.append((steps, packed, kept))
+            queue.append((steps, graph, kept))
     return None

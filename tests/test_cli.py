@@ -37,18 +37,44 @@ def test_chi_and_chistar(capsys):
     assert code == 0 and out.strip() == "7/3"
 
 
+def _module_env():
+    """The environment of a fresh process that imports this checkout's tperfect."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run_module(*argv):
     """``python -m argv`` in a fresh process that imports this checkout's tperfect."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run(
-        [sys.executable, "-m", *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", *argv], env=_module_env(), capture_output=True, text=True, timeout=120
     )
 
 
 def test_python_dash_m_runs_the_cli():
     done = run_module("tperfect", "chi", "corpus:C5")
     assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [(["rope", "generate", "20", "7", "8"], 100), (["chi", "corpus:C5"], 0)],
+    ids=["print-meets-closed-pipe", "flush-meets-closed-pipe"],
+)
+def test_closed_stdout_is_a_runtime_error_without_traceback(argv, read):
+    # stdout block-buffered, as in a shell: the 109 KB of rope JSON overflow
+    # the pipe, so print meets the closed pipe; the "3" of chi waits in the
+    # buffer until the flush.  Either way: exit 2, not 1 ("property fails"),
+    # and nothing on stderr, not even at the interpreter's last flush
+    env = {k: v for k, v in _module_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tperfect", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (2, "")
 
 
 def test_tperfect_exit_codes_and_witness(capsys):
@@ -398,15 +424,18 @@ def test_rope_find_in_disconnected_graph_beyond_cap(capsys, tmp_path):
     assert outputs[1] == outputs[0] and outputs[0][0] == 0 and outputs[0][2] == ""
 
 
-def test_deeply_wrapped_certificate_verifies(capsys, tmp_path):
-    # in a fresh process, so that the stack starts as shallow as a user's
+def test_deeply_wrapped_certificate_is_a_usage_error(capsys, tmp_path):
+    # certify writes one envelope, so 980 of them are a malformed
+    # certificate; in a fresh process, so that the stack starts as shallow
+    # as a user's
     code, out, _ = run(capsys, "certify", "corpus:C5", "--json")
     assert code == 0
     inner = json.dumps(json.loads(out)["certificate"])
     path = tmp_path / "wrapped.json"
     path.write_text('{"kind": "colouring", "certificate": ' * 980 + inner + "}" * 980)
     done = run_module("tperfect.cli", "verify", "corpus:C5", str(path))
-    assert (done.returncode, done.stdout, done.stderr) == (0, "certificate verified\n", "")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
 def test_corpus_commands(capsys):
@@ -544,6 +573,11 @@ def _envelope_of_unknown_kind(capsys):
     return json.dumps({"kind": "bogus", "certificate": _k4_certificate(capsys, "certify")})
 
 
+def _nested_envelope(capsys):
+    # certify writes one envelope, never one inside another
+    return json.dumps({"kind": "witness", "certificate": _k4_certificate(capsys, "certify")})
+
+
 @pytest.mark.parametrize(
     "command, make_text",
     [
@@ -565,6 +599,7 @@ def _envelope_of_unknown_kind(capsys):
         ("verify", lambda capsys: b"\xff\xfe{\x00}\x00"),
         ("verify", _witness_labelled_colouring),
         ("verify", _envelope_of_unknown_kind),
+        ("verify", _nested_envelope),
         ("verify", _wheel_rim_string),
         ("verify", _trace_steps_object),
         ("verify", _trace_vertices_string),
@@ -589,6 +624,7 @@ def _envelope_of_unknown_kind(capsys):
         "certificate-not-utf8",
         "envelope-kind-contradicts-body",
         "envelope-kind-unknown",
+        "envelope-nested",
         "wheel-rim-string",
         "trace-steps-object",
         "trace-vertices-string",

@@ -453,7 +453,7 @@ def _search_without_skips(g, budget):
                 made = _child(nb, alive, kind, v)
                 if made is None:
                     continue
-                child, child_alive, _ = made
+                child, child_alive = made
                 n = child_alive.bit_count()
                 if n < 4 or not _has_odd_cycle(child, child_alive):
                     continue
@@ -524,6 +524,40 @@ def test_search_skips_only_what_key_pruning_drops(drawn):
     g, budget = drawn
     w, reference = find_odd_wheel_tminor(g, budget), _search_without_skips(g, budget)
     assert (w and w.to_json()) == (reference and reference.to_json())
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs on 2-10 vertices, labelled 0..n-1 or by a shuffled mix of
+    ints, strings and tuples."""
+    n = draw(st.integers(2, 10))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+    names = list(range(n))
+    if draw(st.booleans()):
+        kinds = [lambda i: i, lambda i: f"v{i}", lambda i: ("x", i % 3, i)]
+        names = draw(st.permutations([draw(st.sampled_from(kinds))(i) for i in names]))
+    return Graph(names, [(names[a], names[b]) for a, b in edges])
+
+
+@given(labelled_graphs())
+def test_child_agrees_with_trace_builder(g):
+    # the search's mask step and the replayed step give one graph, indexed
+    # in the base graph's label order, and refuse the same contractions
+    index = {v: i for i, v in enumerate(g.vertices)}
+
+    def masks(h):
+        return [sum(1 << index[w] for w in h.neighbours(v)) if v in h else 0 for v in g.vertices]
+
+    nb, alive = masks(g), (1 << g.n) - 1
+    for i, v in enumerate(g.vertices):
+        for kind in ("tcontract", "delete"):
+            made = _child(nb, alive, kind, i)
+            try:
+                h = _replayed(g, [TMinorStep(kind, v)]).graph
+            except VerificationError:
+                assert made is None
+                continue
+            assert made == (masks(h), sum(1 << index[u] for u in h.vertices))
 
 
 def _hub_batch():
