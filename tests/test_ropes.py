@@ -13,6 +13,7 @@ from tperfect.cli import _jsonable
 from tperfect.colouring import chi_exact
 from tperfect.corpus import cycle, grotzsch
 from tperfect.errors import PreconditionError, TPerfectError, VerificationError
+from tperfect.graphio import parse_rope
 from tperfect.graphs import Graph, covers, is_cycle_induced, is_path_induced, label_key, odd_girth
 from tperfect.ropes import (
     ArithmeticRope,
@@ -68,6 +69,22 @@ def test_generate_rejects_bad_lengths():
         generate_rope(2, 7, 7)
     with pytest.raises(PreconditionError):
         generate_rope(1, 7, 8)
+
+
+def test_rope_size_is_capped():
+    with pytest.raises(PreconditionError, match="cap"):
+        generate_rope(ropes.ROPE_R_CAP + 1, 7, 8)
+    _, rope = generate_rope(ropes.ROPE_R_CAP, 7, 8)
+    assert rope.r == ropes.ROPE_R_CAP
+    data = rope.to_data()
+    assert parse_rope(data) == rope
+    data["anchors"].append(data["anchors"][0])
+    data["paths"].append(data["paths"][0])
+    with pytest.raises(PreconditionError, match="cap"):
+        parse_rope(data)
+    broken = BrokenRope(anchors=rope.anchors + (0,), paths=rope.paths + rope.paths[:1])
+    with pytest.raises(PreconditionError, match="cap"):
+        parse_rope(broken.to_data())
 
 
 def test_chord_mutation_rejected():
@@ -207,10 +224,11 @@ def test_earlier_witness_triangle():
 
 
 def test_earlier_witness_precondition():
+    # chi(C4) = 2 is below c + 2 = 3, which is not checked at run time: the
+    # audited witness comes back all the same
     c4 = cycle(4)
     grading = StableGrading(parts=tuple(frozenset([i]) for i in range(4)))
-    with pytest.raises(PreconditionError):
-        earlier_witness(c4, grading, 1)
+    assert earlier_witness(c4, grading, 1) == (frozenset({2, 3}), (0, 1))
 
 
 def test_earlier_witness_tf():
@@ -222,11 +240,10 @@ def test_earlier_witness_tf():
     assert chi_exact(sub)[0] >= 1
     assert not (g.neighbours(u) & x)
     assert g.neighbours(v) & x
+    # chi(C5) = 3 is below c + 3 = 4, which is not checked at run time
     c5 = cycle(5)
-    with pytest.raises(PreconditionError):
-        earlier_witness_tf(
-            c5, StableGrading(parts=tuple(frozenset([i]) for i in range(5))), 1
-        )
+    grading = StableGrading(parts=tuple(frozenset([i]) for i in range(5)))
+    assert earlier_witness_tf(c5, grading, 1) == (frozenset({2, 3}), 0, 1)
 
 
 def test_grading_validation():
@@ -234,6 +251,125 @@ def test_grading_validation():
     bad = StableGrading(parts=(frozenset([0, 1]), frozenset([2, 3, 4])))
     with pytest.raises((PreconditionError, VerificationError)):
         earlier_witness(g, bad, 1)
+
+
+def test_earlier_witness_without_left_active_vertices():
+    # every edge of C4 joins the two parts, so no edge has both ends earlier
+    # than a vertex: the argument collapses, though chi = 2 = c + 2
+    grading = StableGrading(parts=(frozenset({0, 2}), frozenset({1, 3})))
+    with pytest.raises(VerificationError, match="left-active part"):
+        earlier_witness(cycle(4), grading, 0)
+
+
+def _reference_earlier_witness(g, grading, c):
+    """earlier_witness as it was with a chi(g) >= c + 2 gate and two scans
+    of the edges, kept to pin the witnesses of the one-pass routine."""
+    grading.verify(g)
+    if c < 0:
+        raise PreconditionError("c must be non-negative")
+    chi_g, _ = chi_exact(g)
+    if chi_g < c + 2:
+        raise PreconditionError(f"chi(g) = {chi_g} below c + 2 = {c + 2}")
+    idx = grading.index()
+    edges = g.edges()
+    active = set()
+    for w in g.vertices:
+        iw = idx[w]
+        for u, v in edges:
+            if idx[u] < iw and idx[v] < iw and (g.has_edge(w, u) or g.has_edge(w, v)):
+                active.add(w)
+                break
+    comp, chi_a = ropes._max_chi_component(g, active)
+    if chi_a < c:
+        raise VerificationError("left-active part has too small chromatic number")
+    i_min = min(idx[v] for v in comp)
+    w = min((v for v in comp if idx[v] == i_min), key=label_key)
+    witness_edge = None
+    for u, v in edges:
+        if idx[u] < i_min and idx[v] < i_min and (g.has_edge(w, u) or g.has_edge(w, v)):
+            witness_edge = (u, v)
+            break
+    if witness_edge is None:
+        raise VerificationError("left-active certificate edge disappeared")
+    x = frozenset(comp)
+    ropes._audit_earlier(g, grading, x, witness_edge)
+    return x, witness_edge
+
+
+def _reference_earlier_witness_tf(g, grading, c):
+    """earlier_witness_tf on top of _reference_earlier_witness."""
+    if ropes.has_triangle(g):
+        raise PreconditionError("graph contains a triangle")
+    x_prime, (e1, e2) = _reference_earlier_witness(g, grading, c + 1)
+    with_nbr = [w for w in (e1, e2) if g.neighbours(w) & x_prime]
+    v_prime = min(with_nbr, key=label_key)
+    u_prime = e2 if v_prime == e1 else e1
+    comp, _ = ropes._max_chi_component(g, x_prime - g.neighbours(v_prime))
+    if not comp:
+        t = min(g.neighbours(v_prime) & x_prime, key=label_key)
+        result = (frozenset([t]), u_prime, v_prime)
+        ropes._audit_earlier_tf(g, grading, c, *result)
+        return result
+    if g.neighbours(u_prime) & comp:
+        result = (frozenset(comp), v_prime, u_prime)
+    else:
+        w = min(
+            (t for t in (g.neighbours(v_prime) & x_prime) if g.neighbours(t) & comp),
+            key=label_key,
+        )
+        result = (frozenset(comp | {w}), u_prime, v_prime)
+    ropes._audit_earlier_tf(g, grading, c, *result)
+    return result
+
+
+@st.composite
+def graded_graphs(draw):
+    """A graph on at most 12 vertices with a grading of it: each vertex
+    draws a part, edges join vertices of different parts only, and the
+    parts come in shuffled order.  Half the graphs drop each drawn edge
+    that would close a triangle, so that earlier_witness_tf has work."""
+    n = draw(st.integers(1, 12))
+    part = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    triangle_free = draw(st.booleans())
+    adj = {v: set() for v in range(n)}
+    for (u, v), k in zip(pairs, keep):
+        if k and not (triangle_free and adj[u] & adj[v]):
+            adj[u].add(v)
+            adj[v].add(u)
+    g = Graph(range(n), [(u, v) for u in adj for v in adj[u] if u < v])
+    order = draw(st.permutations(sorted(set(part))))
+    return g, StableGrading(parts=tuple(frozenset(v for v in g.vertices if part[v] == p) for p in order))
+
+
+@settings(max_examples=300)
+@given(graded_graphs())
+def test_earlier_witness_matches_its_definition(drawn):
+    g, grading = drawn
+    idx = grading.index()
+    literal = {}
+    for w in g.vertices:
+        for u, v in g.edges():
+            if idx[u] < idx[w] and idx[v] < idx[w] and (g.has_edge(w, u) or g.has_edge(w, v)):
+                literal[w] = (u, v)
+                break
+    assert ropes._earlier_edges(g, idx) == literal
+    for c in range(g.n + 1):
+        for routine, reference in (
+            (earlier_witness, _reference_earlier_witness),
+            (earlier_witness_tf, _reference_earlier_witness_tf),
+        ):
+            try:
+                expected = reference(g, grading, c)
+            except (TPerfectError, ValueError):
+                expected = None
+            try:
+                got = routine(g, grading, c)
+            except TPerfectError:
+                assert expected is None
+            else:
+                assert expected is None or got == expected
 
 
 def test_rope_induction_step(layered):
