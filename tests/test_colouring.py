@@ -212,8 +212,8 @@ def test_chi_exact_colourings_pinned(monkeypatch):
     # colouring is the one recorded while chi_exact still ran a greedy
     # DSATUR before its branch and bound
     batch = _chi_exact_batch(monkeypatch)
-    assert len(batch) == 27 + 9 + 10 + 21 + 2
+    assert len(batch) == 27 + 9 + 10 + 19 + 2
     h = hashlib.sha256()
     for name, g in batch:
         h.update(f"{name} {chi_exact(g)[1].to_json()}\n".encode())
-    assert h.hexdigest() == "5a1dfd1bbb7d5d91e081072548131ad75780e7158d49f0665964fdb9c4b1b6d1"
+    assert h.hexdigest() == "a931b762c49291fdcc8f2ff2fdbb3138334e390a98b2ffa836373c591c49fd36"

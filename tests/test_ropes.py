@@ -1,9 +1,10 @@
+import collections
 import hashlib
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,7 +298,8 @@ def _reference_earlier_witness(g, grading, c):
 
 
 def _reference_earlier_witness_tf(g, grading, c):
-    """earlier_witness_tf on top of _reference_earlier_witness."""
+    """earlier_witness_tf on top of _reference_earlier_witness, with the
+    colouring of X that the triangle-free audit no longer makes."""
     if ropes.has_triangle(g):
         raise PreconditionError("graph contains a triangle")
     x_prime, (e1, e2) = _reference_earlier_witness(g, grading, c + 1)
@@ -308,9 +310,7 @@ def _reference_earlier_witness_tf(g, grading, c):
     if not comp:
         t = min(g.neighbours(v_prime) & x_prime, key=label_key)
         result = (frozenset([t]), u_prime, v_prime)
-        ropes._audit_earlier_tf(g, grading, c, *result)
-        return result
-    if g.neighbours(u_prime) & comp:
+    elif g.neighbours(u_prime) & comp:
         result = (frozenset(comp), v_prime, u_prime)
     else:
         w = min(
@@ -318,7 +318,8 @@ def _reference_earlier_witness_tf(g, grading, c):
             key=label_key,
         )
         result = (frozenset(comp | {w}), u_prime, v_prime)
-    ropes._audit_earlier_tf(g, grading, c, *result)
+    ropes._audit_earlier_tf(g, grading, *result)
+    assert chi_exact(g.induced_subgraph(result[0]))[0] >= c
     return result
 
 
@@ -487,6 +488,105 @@ def test_seeded_path_chord_mutations():
         bad = Graph(g.vertices, list(g.edges()) + [(path[a], path[b])])
         with pytest.raises(VerificationError):
             verify_rope(bad, rope)
+
+
+# The collapses that inputs can reach, since the paper's chromatic
+# thresholds, which rule them out, are not checked at run time.  Every other
+# path, connector and hook of the construction exists by the levelling.
+KEPT_BRANCHES = {"levelling", "far-component", "partition", "closing-x"}
+KEPT_MESSAGES = (
+    "left-active part has too small chromatic number",
+    "rope pipeline: X is empty",
+    "rope pipeline: levelling too shallow",
+)
+
+
+def _names_kept_branch(err):
+    """Whether a VerificationError of the rope construction names a
+    collapse that inputs can reach.  build_broken_rope's error has the
+    error of the failed step as its cause."""
+    err = err.__cause__ or err
+    detail = err.detail if isinstance(err.detail, dict) else {}
+    return detail.get("branch") in KEPT_BRANCHES or str(err).startswith(KEPT_MESSAGES)
+
+
+def _with_pendant(g, rng):
+    """g with a new vertex "t" hung off a random vertex."""
+    return Graph([*g.vertices, "t"], [*g.edges(), (rng.choice(g.vertices), "t")])
+
+
+def _subdivided(rng, n):
+    """A random graph on n vertices with each edge replaced by a path of
+    5, 6 or 7 edges: odd girth at least 15, or bipartite."""
+    length = rng.choice([5, 6, 7])
+    vertices, edges = list(range(n)), []
+    for i, j in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            path = [i, *((i, j, k) for k in range(length - 1)), j]
+            vertices += path[1:-1]
+            edges += zip(path, path[1:])
+    return Graph(vertices, edges)
+
+
+def test_rope_construction_fails_only_in_kept_branches(monkeypatch):
+    # perturbed inputs of the induction step and drawn inputs of find_rope
+    # give an audited result, break a precondition or collapse in a branch
+    # that inputs can reach; each routine that builds paths, connectors and
+    # hooks runs
+    routines = ("_induction_branch_near", "_induction_branch_through", "_close_broken_rope")
+    calls = collections.Counter()
+    for name in routines:
+        real = getattr(ropes, name)
+        monkeypatch.setattr(ropes, name, lambda *a, f=real: calls.update([f.__name__]) or f(*a))
+    pipeline_failures = []
+    pipeline = ropes._find_rope_pipeline
+
+    def recorded_pipeline(*args):
+        try:
+            return pipeline(*args)
+        except TPerfectError as e:
+            pipeline_failures.append(e)
+            raise
+
+    monkeypatch.setattr(ropes, "_find_rope_pipeline", recorded_pipeline)
+    rng = random.Random(5)
+    # a random q in B (half the time the fixture's own), random deletions
+    # from B and C, and a vertex of C left without a cover leaves C too
+    for g, b_set, c_set, q0 in (layered_instance(), _through_instance()):
+        b_list, c_list = sorted(b_set, key=label_key), sorted(c_set, key=label_key)
+        for _ in range(40):
+            q = rng.choice([q0, rng.choice(b_list)])
+            b = b_set - set(rng.sample(b_list, rng.randrange(3)))
+            cc = c_set - set(rng.sample(c_list, rng.randrange(4)))
+            cc = frozenset(v for v in cc if g.neighbours(v) & b)
+            c = rng.randrange(3)
+            try:
+                res = rope_induction_step(g, b, cc, q, c)
+            except PreconditionError:
+                continue
+            except VerificationError as e:
+                assert _names_kept_branch(e), (str(e), e.detail)
+                continue
+            assert audit_induction_step(g, b, cc, q, c, res)
+    # the layered graph with a pendant vertex or a vertex deleted, which
+    # holds a 2-rope for c = 0 at most; rope shells with a pendant vertex;
+    # subdivided random graphs
+    host = layered_instance()[0]
+    layered = [_with_pendant(host, rng), host.delete_vertices([rng.choice(host.vertices)])]
+    small = [_with_pendant(generate_rope_shell(r, 7, 8)[0], rng) for r in range(2, 6)]
+    small += [_subdivided(rng, rng.randrange(4, 9)) for _ in range(12)]
+    drawn = [(g, 2, 0) for g in layered]
+    drawn += [(g, rng.randrange(2, 5), rng.randrange(3)) for g in small]
+    for g, r, c in drawn:
+        assert odd_girth(g) >= 11
+        try:
+            rope = find_rope(g, frozenset(g.vertices), r, c)
+        except VerificationError as e:
+            assert str(e) == "no verified rope found"
+        else:
+            assert verify_rope(g, rope) and rope.r >= r
+    assert pipeline_failures and all(map(_names_kept_branch, pipeline_failures))
+    assert set(calls) == set(routines)
 
 
 def test_find_rope_needs_two_anchors():

@@ -508,11 +508,13 @@ def test_search_matches_key_pruning_on_deep_frontiers():
 
 @st.composite
 def search_inputs(draw):
+    """A graph on 6-11 vertices made of a drawn odd cycle and drawn extra
+    edges, so never bipartite and never filtered, with a budget in 0..300."""
     n = draw(st.integers(6, 11))
-    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
-    g = Graph(range(n), edges)
-    assume(g.bipartition() is None)
-    return g, draw(st.integers(0, 300))
+    ring = draw(st.permutations(range(n)))[: draw(st.sampled_from(range(3, n + 1, 2)))]
+    edges = {tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])}
+    edges |= set(draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)))
+    return Graph(range(n), sorted(edges)), draw(st.integers(0, 300))
 
 
 @settings(max_examples=200)
