@@ -3,15 +3,17 @@ the JSON the library emits (``to_json`` and the ``JSONData`` base of every
 certificate class), and the parser of every certificate and rope JSON.
 
 Certificate JSON stores vertex labels as their Python reprs; parsing uses
-ast.literal_eval, which covers every label kind the library produces (ints,
-strings, and nested tuples of those).  Graph and rope JSON store labels as
-nested lists instead (``encode_label``).
+``int`` on a plain decimal int and ast.literal_eval on anything else, which
+covers every label kind the library produces (ints, strings, and nested
+tuples of those).  Graph and rope JSON store labels as nested lists instead
+(``encode_label``).
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -216,7 +218,12 @@ def guess_format(path: str) -> str:
 
 
 def parse_label(text: str):
+    """The label whose repr is text.  A decimal int, the commonest label,
+    skips the Python parser; any other text, "007" and "+5" included, gets
+    ast.literal_eval's answer."""
     try:
+        if re.fullmatch(r"-?(?:0|[1-9][0-9]*)", text):
+            return int(text)
         return ast.literal_eval(text)
     # the parser reports nesting beyond its stack as MemoryError
     except (ValueError, SyntaxError, MemoryError, RecursionError) as e:

@@ -207,6 +207,23 @@ class Graph:
         return frozenset().union(*self.bfs_levels(v, r))
 
 
+def bits(mask: int) -> list:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def neighbour_masks(g: Graph) -> list:
+    """g's adjacency as ints over the indices of g.vertices, which are in
+    label order: bit i of entry j is set iff vertices i and j are adjacent."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return [sum(1 << index[w] for w in g.neighbours(v)) for v in g.vertices]
+
+
 def _induced_edge_count(g: Graph, vs: Iterable[Vertex]) -> int:
     """Number of edges of g with both ends in vs, in time linear in their
     degrees: each edge is counted once, at whichever end comes later in vs.

@@ -4,6 +4,12 @@ Builds the edge/odd-cycle relaxation, the clique relaxation, and their common
 refinement for a graph, enumerates their vertices exactly, and decides
 whether each relaxation coincides with the stable set polytope.  Negative
 answers come with a machine-checked fractional vertex witness.
+
+The rows come from two searches over the neighbour bitmasks of
+``graphs.neighbour_masks``, indexed in label order: induced paths grown
+into chordless odd cycles, and a pivoted Bron-Kerbosch search for maximal
+cliques, run on the complemented masks for maximal stable sets.  Index
+order is label order, so their outputs are sorted without ``label_key``.
 """
 
 from __future__ import annotations
@@ -11,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
-
-import networkx as nx
 
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .geometry import (
@@ -24,7 +28,7 @@ from .geometry import (
     slacks,
 )
 from .graphio import JSONData
-from .graphs import Graph, has_k4_minor, label_key, shortest_odd_cycle
+from .graphs import Graph, bits, has_k4_minor, label_key, neighbour_masks, shortest_odd_cycle
 
 # Vertex enumeration cost grows quickly with dimension; refuse above this.
 POLYTOPE_DIM_CAP = 16
@@ -54,35 +58,75 @@ def all_stable_sets(g: Graph) -> list:
 
 
 def maximal_stable_sets(g: Graph) -> list:
-    """Inclusion-maximal stable sets: the maximal cliques of the complement."""
-    return maximal_cliques(complement_graph(g))
+    """Inclusion-maximal stable sets: the maximal cliques of the complement,
+    searched on the complements of g's neighbour masks."""
+    full = (1 << g.n) - 1
+    return _maximal_cliques(g, [full & ~m & ~(1 << i) for i, m in enumerate(neighbour_masks(g))])
 
 
 def maximal_cliques(g: Graph) -> list:
-    return sorted(
-        (frozenset(c) for c in nx.find_cliques(g.to_networkx())),
-        key=lambda s: tuple(label_key(v) for v in sorted(s, key=label_key)),
-    )
+    return _maximal_cliques(g, neighbour_masks(g))
 
 
-def _canonical_cycle(cyc) -> tuple:
-    """Rotation/reflection-invariant representative of a cyclic vertex list."""
-    cyc = list(cyc)
-    k = len(cyc)
-    i0 = min(range(k), key=lambda i: label_key(cyc[i]))
-    fwd = tuple(cyc[(i0 + j) % k] for j in range(k))
-    bwd = tuple(cyc[(i0 - j) % k] for j in range(k))
-    return min(fwd, bwd, key=lambda t: tuple(label_key(v) for v in t))
+def _maximal_cliques(g: Graph, nb: list) -> list:
+    """The maximal cliques of the graph on g.vertices whose neighbour masks
+    are nb, as frozensets, sorted by their members in label order.
+
+    Bron-Kerbosch (1973) with the pivot of Tomita, Tanaka and Takahashi
+    (2006).  A state is a clique r, the vertices p that may extend it, and
+    the vertices x that also extend it but were branched on before, so the
+    cliques holding them are listed under other states; r is maximal when
+    p and x are empty.  A state branches on the vertices of p outside
+    N(u), for a pivot u of p | x with the most neighbours in p.  Every
+    vertex of p | x sees all of r, so a clique that adds to r only
+    vertices of N(u) could add u too and is not maximal.  States wait on a
+    stack, not in recursion, so a large stable set needs no deep call
+    chain.  A graph with no vertex has no clique, not the empty one."""
+    found = []
+    stack = [(0, (1 << g.n) - 1, 0)] if g.n else []
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            found.append(r)
+            continue
+        pivot = max(bits(p | x), key=lambda u: (p & nb[u]).bit_count())
+        for v in bits(p & ~nb[pivot]):
+            stack.append((r | 1 << v, p & nb[v], x & nb[v]))
+            p ^= 1 << v
+            x |= 1 << v
+    order = g.vertices
+    return [frozenset(order[i] for i in c) for c in sorted(bits(r) for r in found)]
 
 
 def chordless_odd_cycles(g: Graph) -> list:
-    """All chordless cycles of odd length, canonically oriented and sorted."""
-    found = {
-        _canonical_cycle(c)
-        for c in nx.chordless_cycles(g.to_networkx())
-        if len(c) % 2 == 1
-    }
-    return sorted(found, key=lambda t: (len(t), tuple(label_key(v) for v in t)))
+    """All chordless cycles of odd length, sorted by length and then by
+    their vertices in label order.
+
+    Each cycle is listed once, from its least vertex s towards the lesser
+    of its two neighbours on the cycle: the rotation and reflection with
+    the least labels.  It is grown as an induced path s, p1, ..., pk over
+    vertices after s.  ``inner`` holds the path and the neighbours of its
+    interior p1, ..., p(k-1), which the next vertex must avoid.  A
+    neighbour of s may only close the path, and only when it comes after
+    p1; the other vertices after s extend it.  Paths wait on a stack, not
+    in recursion, so a long cycle needs no deep call chain."""
+    nb = neighbour_masks(g)
+    found = []
+    for s in range(g.n):
+        after = -1 << (s + 1)
+        grow = after & ~nb[s]
+        for p1 in bits(nb[s] & after):
+            closers = nb[s] & (-1 << (p1 + 1))
+            stack = [((s, p1), 1 << s | 1 << p1)]
+            while stack:
+                path, inner = stack.pop()
+                ends = nb[path[-1]] & ~inner
+                if len(path) % 2 == 0:
+                    found.extend(path + (v,) for v in bits(ends & closers))
+                inner |= nb[path[-1]]
+                stack.extend((path + (v,), inner) for v in bits(ends & grow))
+    order = g.vertices
+    return [tuple(order[i] for i in c) for c in sorted(found, key=lambda c: (len(c), c))]
 
 
 def _nonneg_rows(order) -> list:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import PreconditionError, UnknownVertexError, VerificationError
 from .graphio import JSONData
-from .graphs import Graph, is_cycle_induced, is_stable, label_key, odd_girth
+from .graphs import Graph, bits, is_cycle_induced, is_stable, label_key, neighbour_masks, odd_girth
 
 
 @dataclass(frozen=True)
@@ -316,23 +316,13 @@ def _hub_structure(g: Graph):
     return None
 
 
-def _bits(mask: int) -> list:
-    """Indices of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _BitsMemo(dict):
-    """mask -> _bits(mask), computed on first lookup."""
+    """mask -> bits(mask), computed on first lookup."""
 
     __slots__ = ()
 
     def __missing__(self, mask: int) -> list:
-        out = self[mask] = _bits(mask)
+        out = self[mask] = bits(mask)
         return out
 
 
@@ -389,7 +379,7 @@ class _WLKey:
         self.s1 = {}  # s1 string -> id
         self.s2 = {}  # (s1 id, *sorted s1 ids over the neighbours) -> id
         self.memo = {}  # sorted neighbour degrees -> s1 id
-        self.bits = _BitsMemo()  # neighbour mask -> _bits(mask)
+        self.bits = _BitsMemo()  # neighbour mask -> bits(mask)
 
     def __call__(self, nb: list, vs: list) -> bytes:
         memo, s1, s2, bits = self.memo, self.s1, self.s2, self.bits
@@ -420,7 +410,7 @@ def _has_odd_cycle(nb: list, alive: int) -> bool:
         level = seen = rest & -rest
         while level:
             reached = 0
-            for u in _bits(level):
+            for u in bits(level):
                 if nb[u] & level:
                     return True
                 reached |= nb[u]
@@ -437,21 +427,21 @@ def _child(nb: list, alive: int, kind: str, v: int):
     child = nb[:]
     ns = nb[v]
     if kind == "delete":
-        for u in _bits(ns):
+        for u in bits(ns):
             child[u] = nb[u] ^ (1 << v)
         child[v] = 0
         return child, alive ^ (1 << v)
     outside = 0
-    for u in _bits(ns):
+    for u in bits(ns):
         if nb[u] & ns:
             return None
         outside |= nb[u]
     merged = ns | (1 << v)
     outside &= ~merged
-    for u in _bits(merged):
+    for u in bits(merged):
         child[u] = 0
     low = merged & -merged
-    for u in _bits(outside):
+    for u in bits(outside):
         child[u] = (nb[u] & ~merged) | low
     child[low.bit_length() - 1] = outside
     return child, (alive & ~merged) | low
@@ -474,7 +464,7 @@ def _popped(queue: deque, moves: list, keys: _WLKey, seen: set, done: set):
             graph = (child_alive, *child)
             if graph in done:
                 continue
-            key = keys(child, _bits(child_alive))
+            key = keys(child, bits(child_alive))
             if key not in seen:
                 seen.add(key)
                 yield steps + (move,), graph, child, child_alive
@@ -570,8 +560,7 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
         cycle, v = hub
         return extract_wheel_from_hub(g, cycle, v)
 
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nb = [sum(1 << index[w] for w in g.neighbours(v)) for v in g.vertices]
+    nb = neighbour_masks(g)
     full = (1 << g.n) - 1
     # one step object per move, shared by every trace that makes it: the
     # move with index k acts on the vertex with index k >> 1
@@ -588,7 +577,7 @@ def find_odd_wheel_tminor(g: Graph, budget: int = 4000) -> Optional[OddWheelWitn
             met.clear()
         done.add(graph)
         kept = []
-        for v in _bits(alive):
+        for v in bits(alive):
             for k in (2 * v, 2 * v + 1):
                 made = _child(nb, alive, moves[k].kind, v)
                 if made is None:

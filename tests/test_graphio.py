@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 
@@ -131,6 +132,24 @@ def test_parse_label():
     assert parse_label("3") == 3
     with pytest.raises(PreconditionError):
         parse_label("not a literal ][")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "-12", "007", "+5", " 5", "5\n", "1_000", "True", "(1, 'a')", "\u0665",
+     pytest.param("9" * 5000, id="5000-digits")],
+)
+def test_parse_label_agrees_with_literal_eval(text):
+    # decimal ints take a shortcut past the parser; every text still gets
+    # literal_eval's value, or PreconditionError where literal_eval raises
+    try:
+        expected = ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        with pytest.raises(PreconditionError):
+            parse_label(text)
+    else:
+        label = parse_label(text)
+        assert label == expected and type(label) is type(expected)
 
 
 def test_certificate_parsers():

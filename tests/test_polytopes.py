@@ -5,23 +5,25 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tperfect.errors import CapExceededError, VerificationError
 from tperfect.geometry import HPolytope, Inequality, point_in_hull, qvec
 from tperfect import polytopes
 from tperfect.corpus import corpus_names, make
 from tperfect.geometry import _dd_enumerate, _row_to_int, enumerate_vertices, rank, slacks
-from tperfect.graphs import Graph, has_k4_minor
+from tperfect.graphs import Graph, has_k4_minor, label_key
 from tperfect.polytopes import (
     ImperfectionWitness,
     all_stable_sets,
+    chordless_odd_cycles,
     complement_graph,
     hstab,
     is_h_perfect,
     is_hbar_perfect,
     is_t_perfect,
     maximal_cliques,
+    maximal_stable_sets,
     qstab,
     t_perfect_by_theorem,
     tstab,
@@ -131,6 +133,55 @@ def test_maximal_cliques():
     cl = maximal_cliques(complete(4))
     assert cl == [frozenset(range(4))]
     assert sorted(len(c) for c in maximal_cliques(cycle(5))) == [2] * 5
+    empty = Graph([], [])
+    assert maximal_cliques(empty) == maximal_stable_sets(empty) == chordless_odd_cycles(empty) == []
+
+
+def _labels_key(vs):
+    return tuple(label_key(v) for v in vs)
+
+
+def _nx_chordless_odd_cycles(g):
+    """networkx's chordless odd cycles, each rotated to start at its least
+    label and turned towards the lesser of that vertex's two neighbours,
+    sorted by length and then by labels."""
+    found = set()
+    for c in nx.chordless_cycles(g.to_networkx()):
+        if len(c) % 2:
+            i = min(range(len(c)), key=lambda j: label_key(c[j]))
+            c = c[i:] + c[:i]
+            found.add(min(tuple(c), (c[0], *c[:0:-1]), key=_labels_key))
+    return sorted(found, key=lambda t: (len(t), _labels_key(t)))
+
+
+def _nx_maximal_cliques(h):
+    """networkx's maximal cliques of the networkx graph h, sorted by their
+    members in label order."""
+    cliques = map(frozenset, nx.find_cliques(h))
+    return sorted(cliques, key=lambda c: _labels_key(sorted(c, key=label_key)))
+
+
+@st.composite
+def mixed_label_graphs(draw):
+    """Graphs on 0-12 vertices, each labelled by an int, a string or a
+    nested tuple, in shuffled order; edges are drawn among the first k
+    vertices only, so the others are isolated."""
+    n = draw(st.integers(0, 12))
+    kinds = [lambda i: i, lambda i: f"v{i}", lambda i: ("t", (i % 3, str(i)))]
+    names = draw(st.permutations([draw(st.sampled_from(kinds))(i) for i in range(n)]))
+    pairs = list(combinations(range(draw(st.integers(0, n))), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(names, [(names[a], names[b]) for i, (a, b) in enumerate(pairs) if mask >> i & 1])
+
+
+@settings(max_examples=300)
+@given(mixed_label_graphs())
+def test_enumerations_match_networkx(g):
+    # the mask searches list what networkx lists, in the same order; on the
+    # empty graph networkx lists no clique, not the empty one
+    assert chordless_odd_cycles(g) == _nx_chordless_odd_cycles(g)
+    assert maximal_cliques(g) == _nx_maximal_cliques(g.to_networkx())
+    assert maximal_stable_sets(g) == _nx_maximal_cliques(nx.complement(g.to_networkx()))
 
 
 def test_isolated_vertex_rows():

@@ -7,7 +7,11 @@ graphs on 3 to 10 vertices, it runs ``geometry._dd_enumerate`` on the
 integer rows of ``tstab`` and ``hstab`` and prints one line: the graph, the
 relaxation, the sha256 of the repr of the output (the homogeneous points,
 their tight-row masks and their order), and the sha256 of the repr of
-``enumerate_vertices`` on the same polytope.  The library is imported from
+``enumerate_vertices`` on the same polytope.  After those two lines it
+prints a third per graph: the graph, the word ``enumerators``, the sha256 of
+the repr of ``chordless_odd_cycles`` and that of ``maximal_stable_sets``,
+each set written as its members sorted by ``label_key``, since a frozenset's
+repr depends on the order it was built in.  The library is imported from
 this checkout's ``src``, so two checkouts compare by a ``diff`` of their
 outputs.
 """
@@ -23,8 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tperfect import corpus  # noqa: E402
 from tperfect.geometry import _dd_enumerate, _row_to_int, enumerate_vertices  # noqa: E402
-from tperfect.graphs import Graph  # noqa: E402
-from tperfect.polytopes import hstab, tstab  # noqa: E402
+from tperfect.graphs import Graph, label_key  # noqa: E402
+from tperfect.polytopes import chordless_odd_cycles, hstab, maximal_stable_sets, tstab  # noqa: E402
 
 MAX_CORPUS_VERTICES = 12
 RANDOM_GRAPHS = 200
@@ -56,6 +60,8 @@ def main() -> int:
             p = build(g)
             out = _dd_enumerate([_row_to_int(i) for i in p.inequalities], p.dim)
             print(name, relaxation, digest(out), digest(enumerate_vertices(p)))
+        stables = [sorted(s, key=label_key) for s in maximal_stable_sets(g)]
+        print(name, "enumerators", digest(chordless_odd_cycles(g)), digest(stables))
     return 0
 
 
