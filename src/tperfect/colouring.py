@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import networkx as nx
-
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .geometry import solve_lp
 from .graphio import JSONData
@@ -18,6 +16,7 @@ from .graphs import COMBINATORIAL_CAP, Graph, is_stable, label_key, odd_girth, s
 from .polytopes import (
     POLYTOPE_DIM_CAP,
     is_t_perfect,
+    maximal_cliques,
     maximal_stable_sets,
     vertex_order,
 )
@@ -185,10 +184,7 @@ def chi_exact(g: Graph):
 
 
 def clique_number(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    clique, size = nx.max_weight_clique(g.to_networkx(), weight=None)
-    return size
+    return max(map(len, maximal_cliques(g)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,8 @@ import json
 import re
 from fractions import Fraction
 
-import networkx as nx
-
 from .errors import PreconditionError
-from .graphs import Graph, label_key
+from .graphs import Graph, label_key, neighbour_masks
 
 
 # ---------------------------------------------------------------------------
@@ -46,23 +44,47 @@ class JSONData:
 
 
 def to_graph6(g: Graph) -> str:
-    """graph6 string; vertices are relabelled 0..n-1 in canonical label order."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from((index[u], index[v]) for u, v in g.edges())
-    return nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+    """graph6 string without header; vertices are relabelled 0..n-1 in
+    canonical label order.  graph6 is B. McKay's format
+    (https://users.cecs.anu.edu.au/~bdm/data/formats.txt): each character
+    is 63 plus a 6-bit value.  n takes one value when below 63, else "~"
+    and three values, else "~~" and six; then come the bits of the upper
+    triangle of the adjacency matrix, column by column, zero-padded to a
+    multiple of six."""
+    n = g.n
+    width = 1 if n < 63 else 3 if n < 258048 else 6
+    nb = neighbour_masks(g)
+    bits = "".join(str(nb[j] >> i & 1) for j in range(1, n) for i in range(j))
+    bits = f"{n:0{6 * width}b}" + bits + "0" * (-len(bits) % 6)
+    chars = (chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+    return "~" * (width // 3) + "".join(chars)
+
 
 def from_graph6(text: str) -> Graph:
+    """Parse graph6 with an optional ">>graph6<<" header.  Every character
+    must lie in 63..126 ("?".."~"), and the body must be exactly as long as
+    n(n-1)/2 bits need; both are checked before any pair is read."""
     text = text.strip()
     if not text:
         raise PreconditionError("empty graph6 input")
-    try:
-        h = nx.from_graph6_bytes(text.encode("ascii"))
-    except (nx.NetworkXError, ValueError, UnicodeEncodeError, IndexError) as e:
-        # networkx raises IndexError when a "~" size prefix is cut short
-        raise PreconditionError(f"malformed graph6 input: {e}") from e
-    return Graph.from_networkx(h)
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<") :]
+    data = [ord(c) - 63 for c in text]
+    if not all(0 <= d <= 63 for d in data):
+        raise PreconditionError("malformed graph6 input: a character outside '?'..'~'")
+    skip = 2 if data[:2] == [63, 63] else 1 if data[:1] == [63] else 0
+    end = (1, 4, 8)[skip]  # the size prefix is data[:end], n is data[skip:end]
+    if len(data) < end:
+        raise PreconditionError("malformed graph6 input: the size prefix is cut short")
+    bits = "".join(f"{d:06b}" for d in data)
+    n = int(bits[6 * skip : 6 * end], 2)
+    pairs = n * (n - 1) // 2
+    if len(data) - end != (pairs + 5) // 6:
+        raise PreconditionError(
+            f"malformed graph6 input: expected {pairs} bits but got {6 * (len(data) - end)}"
+        )
+    upper = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph(range(n), [pair for pair, b in zip(upper, bits[6 * end :]) if b == "1"])
 
 
 def to_edge_list(g: Graph) -> str:

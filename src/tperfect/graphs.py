@@ -12,8 +12,6 @@ import math
 from collections import deque
 from typing import Hashable, Iterable
 
-import networkx as nx
-
 from .errors import PreconditionError, UnknownVertexError
 
 Vertex = Hashable
@@ -25,9 +23,11 @@ _UNKNOWN = object()
 
 
 def label_key(v):
-    """Total order over mixed-type vertex labels (ints, strings, tuples)."""
+    """Total order over mixed-type vertex labels (ints, strings, tuples).
+    Each type has its own tag, so distinct labels of the kinds JSON
+    carries (bools next to strings included) get distinct keys."""
     if isinstance(v, bool):  # bool before int check: bools are ints
-        return (1, str(v))
+        return (4, v)
     if isinstance(v, int):
         return (0, v)
     if isinstance(v, str):
@@ -139,16 +139,6 @@ class Graph:
         g._adj = {v: self._adj[v] & keep for v in g._vertices}
         g._odd_cycle = _UNKNOWN
         return g
-
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self._vertices)
-        g.add_edges_from(self._edges)
-        return g
-
-    @staticmethod
-    def from_networkx(g: nx.Graph) -> "Graph":
-        return Graph(g.nodes(), g.edges())
 
     # -- traversal ---------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import functools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import settings
 
@@ -67,6 +68,25 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph(range(n), edges)
+
+
+def mixed_labels(rng: random.Random, g: Graph) -> Graph:
+    """g, on vertices 0..n-1, with each vertex i renamed i, "vi" or
+    (i % 3, "ti"), drawn by rng."""
+    labels = [rng.choice((i, f"v{i}", (i % 3, f"t{i}"))) for i in g.vertices]
+    return Graph(labels, [(labels[u], labels[v]) for u, v in g.edges()])
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    """g as a networkx graph, the tests' independent reference."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges())
+    return h
+
+
+def from_nx(h: nx.Graph) -> Graph:
+    return Graph(h.nodes(), h.edges())
 
 
 def satisfies(p, x) -> bool:

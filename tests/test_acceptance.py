@@ -48,7 +48,7 @@ from tperfect.tminors import (
     verify_odd_wheel_witness,
 )
 
-from conftest import random_graph
+from conftest import from_nx, random_graph
 
 
 def report(capsys, number, failures, elapsed, limit):
@@ -177,7 +177,7 @@ def test_criterion_06_bipartite_containment_contract(capsys):
         if rng.random() < 0.5:
             host = cycle(2 * g_param + 1 + 2 * rng.randint(0, 4))
         else:
-            host = Graph.from_networkx(
+            host = from_nx(
                 nx.random_labeled_tree(rng.randint(6, 14), seed=rng.randint(0, 10**6))
             )
         size = rng.randint(1, min(2 * g_param, host.n // 2))

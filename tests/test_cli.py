@@ -160,6 +160,28 @@ def test_graph6_with_a_cut_short_size_prefix_is_a_usage_error(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["ER96", ">?", ">>graph6<<>?", "I2UMgiXb~"])
+def test_graph6_with_a_character_outside_the_data_range_is_a_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "g.g6"
+    path.write_text(text)
+    code, out, err = run(capsys, "oddgirth", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_the_library_imports_without_networkx():
+    # networkx is only the tests' and perfbench's reference
+    code = (
+        "import sys\n"
+        "import tperfect.cli, tperfect.colouring, tperfect.corpus, tperfect.graphio\n"
+        "import tperfect.polytopes, tperfect.ropes, tperfect.tminors\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_module_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_certify_above_the_cap_writes_nothing_on_stderr(capsys, tmp_path):
     # 17 vertices, so the refutation comes from the odd-wheel t-minor search
     path = tmp_path / "w11.json"

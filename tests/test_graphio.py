@@ -1,11 +1,13 @@
 import ast
 import itertools
 import json
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from tperfect.corpus import make
+from tperfect.corpus import corpus_names, make
 from tperfect.errors import PreconditionError, TPerfectError
 from tperfect.graphio import (
     from_edge_list,
@@ -27,6 +29,9 @@ from tperfect.graphio import (
     to_json_graph,
 )
 from tperfect.graphs import Graph
+from tperfect.polytopes import chordless_odd_cycles, tstab
+
+from conftest import from_nx, mixed_labels, nx_graph, random_graph
 
 
 def test_graph6_roundtrip_all_five_vertex_graphs():
@@ -48,6 +53,54 @@ def test_graph6_malformed():
         from_graph6("")
     with pytest.raises(PreconditionError):
         from_graph6("\x01\x02")
+
+
+@pytest.mark.parametrize("text", ["ER96", ">?", ">>graph6<<>?", "I2UMgiXb~"])
+def test_graph6_refuses_characters_outside_the_data_range(text):
+    # each of these holds a character below "?" (63)
+    with pytest.raises(PreconditionError, match="outside"):
+        from_graph6(text)
+
+
+def test_graph6_long_size_prefix_with_a_short_body_is_refused_at_once():
+    # "~~" then six 63s claims 2**36 - 1 vertices: were the pairs enumerated
+    # before the body length is checked, this would not finish
+    n = 2**36 - 1
+    for body in ("", "?", "~" * 100):
+        with pytest.raises(PreconditionError, match=f"expected {n * (n - 1) // 2} bits"):
+            from_graph6("~~" + "~" * 6 + body)
+
+
+def _nx_from_graph6(text):
+    """networkx's graph of graph6 text, or None where networkx refuses it."""
+    try:
+        return from_nx(nx.from_graph6_bytes(text.strip().encode("ascii")))
+    except (nx.NetworkXError, ValueError, IndexError):
+        return None
+
+
+def test_graph6_codec_matches_networkx():
+    rng = random.Random(6)
+    graphs = [make(name) for name in corpus_names()]
+    # 62, 63 and 64 vertices cross from the one- to the four-character size
+    graphs += [mixed_labels(rng, random_graph(rng, n, rng.random())) for n in range(71)]
+    for g in graphs:
+        # networkx numbers the vertices in the order nx_graph adds them: label order
+        text = nx.to_graph6_bytes(nx_graph(g), header=False).decode("ascii").strip()
+        assert to_graph6(g) == text
+        h = from_graph6(text)
+        assert h == _nx_from_graph6(text) and (h.n, h.m) == (g.n, g.m)
+        assert from_graph6(">>graph6<<" + text) == h
+        # texts one character short or long, and with one character changed
+        # within "?".."~": the same graph as networkx, or both refuse
+        i = rng.randrange(len(text))
+        near = [text[:-1], text + "?", text[:i] + chr(rng.randint(63, 126)) + text[i + 1 :]]
+        for t in near:
+            try:
+                got = from_graph6(t)
+            except PreconditionError:
+                got = None
+            assert got == _nx_from_graph6(t), t
 
 
 @given(st.booleans(), st.text(st.characters(min_codepoint=63, max_codepoint=126)))
@@ -97,6 +150,15 @@ def test_json_graph_roundtrip_with_tuple_labels():
         g = from_json_graph(text)
         assert g == Graph([0, 1], [(0, 1)])
         assert from_json_graph(to_json_graph(g)) == g
+
+
+def test_json_graph_with_true_and_the_string_true_keeps_every_edge():
+    g = from_json_graph('{"adjacency": [[true, ["True", 5]], ["True", [true, 5]], [5, [true, "True"]]]}')
+    assert g.m == 3 and set(map(frozenset, g.edges())) == {
+        frozenset(e) for e in ((True, "True"), (True, 5), ("True", 5))
+    }
+    assert sum(row.tag == "edge" for row in tstab(g).inequalities) == 3
+    assert chordless_odd_cycles(g) == [(5, "True", True)]
 
 
 def test_json_graph_malformed():

@@ -17,6 +17,8 @@ from tperfect.graphs import (
     shortest_odd_cycle,
 )
 
+from conftest import nx_graph
+
 
 def cycle(n):
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
@@ -58,7 +60,7 @@ def small_graphs(draw):
 
 @given(small_graphs())
 def test_shortest_odd_cycle_matches_brute_force(g):
-    lengths = [len(c) for c in nx.simple_cycles(g.to_networkx()) if len(c) % 2]
+    lengths = [len(c) for c in nx.simple_cycles(nx_graph(g)) if len(c) % 2]
     shortest = min(lengths, default=math.inf)
     cyc = shortest_odd_cycle(g)
     assert odd_girth(g) == shortest
@@ -230,7 +232,7 @@ def test_derived_graphs_and_traversal_match_scratch_and_networkx(drawn):
     _same_graph(g.delete_vertices(drop), _from_scratch(g, rest))
     _same_graph(h.delete_vertices(drop & keep), _from_scratch(g, keep - drop))
     for graph in (g, h):
-        ref = graph.to_networkx()
+        ref = nx_graph(graph)
         for v in graph.vertices:
             dist = nx.single_source_shortest_path_length(ref, v)
             assert graph.bfs_distances(v) == dist
@@ -258,4 +260,3 @@ def test_label_key_total_order():
 def test_graph_equality_and_roundtrip():
     g = cycle(5)
     assert g == Graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
-    assert Graph.from_networkx(g.to_networkx()) == g

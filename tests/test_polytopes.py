@@ -31,7 +31,7 @@ from tperfect.polytopes import (
     vertex_order,
 )
 
-from conftest import satisfies
+from conftest import from_nx, nx_graph, satisfies
 
 F = Fraction
 
@@ -117,7 +117,7 @@ def test_all_cycles_mode_matches_chordless():
             Inequality(
                 tuple(int(v in c) for v in order), (len(c) - 1) // 2, tag="oddcycle", source=tuple(c)
             )
-            for c in nx.simple_cycles(g.to_networkx())
+            for c in nx.simple_cycles(nx_graph(g))
             if len(c) % 2 == 1
         )
         with_all = HPolytope(p.dim, p.inequalities + all_cycle_rows)
@@ -146,7 +146,7 @@ def _nx_chordless_odd_cycles(g):
     label and turned towards the lesser of that vertex's two neighbours,
     sorted by length and then by labels."""
     found = set()
-    for c in nx.chordless_cycles(g.to_networkx()):
+    for c in nx.chordless_cycles(nx_graph(g)):
         if len(c) % 2:
             i = min(range(len(c)), key=lambda j: label_key(c[j]))
             c = c[i:] + c[:i]
@@ -180,8 +180,8 @@ def test_enumerations_match_networkx(g):
     # the mask searches list what networkx lists, in the same order; on the
     # empty graph networkx lists no clique, not the empty one
     assert chordless_odd_cycles(g) == _nx_chordless_odd_cycles(g)
-    assert maximal_cliques(g) == _nx_maximal_cliques(g.to_networkx())
-    assert maximal_stable_sets(g) == _nx_maximal_cliques(nx.complement(g.to_networkx()))
+    assert maximal_cliques(g) == _nx_maximal_cliques(nx_graph(g))
+    assert maximal_stable_sets(g) == _nx_maximal_cliques(nx.complement(nx_graph(g)))
 
 
 def test_isolated_vertex_rows():
@@ -279,7 +279,7 @@ def test_fractional_vertices_lie_outside_stab():
     # verify_witness relies on "fractional vertex of the relaxation" implying
     # "outside the stable set polytope"; check that against an exact hull LP
     # on every graph with 1 to 6 vertices
-    graphs = [Graph.from_networkx(h) for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
+    graphs = [from_nx(h) for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
     assert len(graphs) == 208
     checked = 0
     for g in graphs:
@@ -307,7 +307,7 @@ def test_k4_minor():
         assert not has_k4_minor(cycle(n))
     k25 = Graph(range(7), [(i, j) for i in range(2) for j in range(2, 7)])
     assert not has_k4_minor(k25)
-    tree = Graph.from_networkx(nx.random_labeled_tree(12, seed=3))
+    tree = from_nx(nx.random_labeled_tree(12, seed=3))
     assert not has_k4_minor(tree)
     rim = wheel(6).delete_vertices([6])
     assert not has_k4_minor(rim)
@@ -332,7 +332,7 @@ def test_theorem_shortcut_sound_on_atlas():
     # wherever the shortcut accepts, neither relaxation has a fractional
     # vertex: checked by the double description on every graph with 1 to 7
     # vertices
-    graphs = [Graph.from_networkx(h) for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 7]
+    graphs = [from_nx(h) for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 7]
     assert len(graphs) == 1252
     settled = 0
     for g in graphs:

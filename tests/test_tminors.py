@@ -35,7 +35,7 @@ from tperfect.tminors import (
     verify_odd_wheel_witness,
 )
 
-from conftest import pendant, random_graph
+from conftest import nx_graph, pendant, random_graph
 
 
 def hub_instance(n, positions):
@@ -288,7 +288,7 @@ def _nx_hash(g):
     with warnings.catch_warnings():
         # networkx warns that attribute-free hashes changed in 3.5
         warnings.simplefilter("ignore")
-        return nx.weisfeiler_lehman_graph_hash(g.to_networkx())
+        return nx.weisfeiler_lehman_graph_hash(nx_graph(g))
 
 
 # one instance for every test, as one serves a whole search: its interned
