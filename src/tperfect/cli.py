@@ -163,7 +163,7 @@ def cmd_reduce(args) -> int:
 
     g = load_graph(args.graph, args.format)
     s = reduce_odd_girth(g, args.ell)
-    ordered = sorted(s, key=label_key)
+    ordered = sorted(s, key=g.rank.__getitem__)
     if args.json:
         print(graphio.to_json({"stable_set": [repr(v) for v in ordered]}))
     else:
@@ -211,10 +211,7 @@ def cmd_tcontract(args) -> int:
             json.dumps(
                 {
                     "graph": graphio.graph_data(h),
-                    "classes": {
-                        repr(w): sorted((repr(u) for u in cls))
-                        for w, cls in sorted(classes.items(), key=lambda kv: label_key(kv[0]))
-                    },
+                    "classes": {repr(w): sorted(repr(u) for u in classes[w]) for w in h.vertices},
                 },
                 indent=2,
             )

@@ -61,13 +61,18 @@ def verify_colouring(g: Graph, col: Colouring) -> bool:
 
 @dataclass(frozen=True)
 class FractionalColouring(JSONData):
-    """Weighted stable sets covering every vertex with total weight >= 1."""
+    """Weighted stable sets covering every vertex with total weight >= 1.
+
+    ``total`` is the stated sum of the weights.  It is the sum itself when
+    not given; a parsed certificate gives the total its JSON states, which
+    verify_fractional_colouring checks against the sum."""
 
     weights: tuple  # tuple of (frozenset, Fraction > 0)
+    total: Optional[Fraction] = None
 
-    @property
-    def total(self) -> Fraction:
-        return sum((w for _, w in self.weights), Fraction(0))
+    def __post_init__(self):
+        if self.total is None:
+            object.__setattr__(self, "total", _weight_sum(self.weights))
 
     def to_data(self) -> dict:
         return {
@@ -94,7 +99,17 @@ def verify_fractional_colouring(g: Graph, fc: FractionalColouring) -> bool:
         cover = sum((w for s, w in fc.weights if v in s), Fraction(0))
         if cover < 1:
             raise VerificationError("vertex not fractionally covered", detail={"vertex": v})
+    weight = _weight_sum(fc.weights)
+    if fc.total != weight:
+        raise VerificationError(
+            "stated total is not the sum of the weights",
+            detail={"total": fc.total, "sum": weight},
+        )
     return True
+
+
+def _weight_sum(weights) -> Fraction:
+    return sum((w for _, w in weights), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +118,9 @@ def verify_fractional_colouring(g: Graph, fc: FractionalColouring) -> bool:
 
 
 def _greedy_clique(g: Graph) -> frozenset:
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), label_key(v)))
+    # a stable sort of the label-ordered vertices: largest degree first,
+    # ties in label order
+    order = sorted(g.vertices, key=lambda v: -g.degree(v))
     clique = []
     for v in order:
         if all(g.has_edge(v, u) for u in clique):
@@ -121,6 +138,22 @@ def chi_exact(g: Graph):
     up to one new colour.  A branch whose colour count would reach the
     best count found so far is cut, and the search ends once that count
     is the size of a greedy clique, which no colouring can beat.
+
+    The branch vertex comes from saturation buckets.  ``order`` lists the
+    vertices by largest degree, then label order, and bucket[s] is an int
+    whose bit p is set when the vertex order[p] is uncoloured and has
+    saturation s.  The colours on coloured vertices are 0..used - 1, so no
+    saturation exceeds used, and the lowest set bit of the highest
+    non-empty bucket at or below used is the first vertex in order of
+    largest saturation.  ``paint`` keeps the buckets.  Painting i takes it
+    out of its bucket; seen[j] counts the neighbours of j per colour, for
+    coloured and uncoloured j alike, and an uncoloured neighbour j changes
+    bucket exactly when one of its counts goes 0 -> 1 or 1 -> 0, which is
+    when its saturation changes.  Unpainting puts i back in bucket
+    len(seen[i]), the saturation it had when it was painted: unpaints run
+    in LIFO order, so when paint(i, c, -1) runs every paint made after
+    paint(i, c, 1) has been undone, and the coloured vertices and their
+    colours are those of that time.
 
     The search starts with no bound, so its first descent never
     backtracks: each vertex takes the least colour that no neighbour has,
@@ -141,9 +174,12 @@ def chi_exact(g: Graph):
     vertices = g.vertices
     index = {v: i for i, v in enumerate(vertices)}
     nbrs = [[index[w] for w in g.neighbours(v)] for v in vertices]
-    # largest degree first, then label order: max() returns the first
-    # vertex of largest saturation in it
     order = sorted(range(g.n), key=lambda i: -len(nbrs[i]))
+    bit = [0] * g.n
+    for p, i in enumerate(order):
+        bit[i] = 1 << p
+    bucket = [0] * (g.n + 1)
+    bucket[0] = (1 << g.n) - 1
     lb = len(_greedy_clique(g))
     colour = [None] * g.n
     # seen[i]: colour -> number of neighbours of i with it, for colours on them
@@ -153,19 +189,29 @@ def chi_exact(g: Graph):
 
     def paint(i, c, step):
         colour[i] = c if step == 1 else None
+        # out of its bucket when painted, back in when unpainted
+        bucket[len(seen[i])] ^= bit[i]
         for j in nbrs[i]:
-            count = seen[j].get(c, 0) + step
+            counts = seen[j]
+            sat = len(counts)
+            count = counts.get(c, 0) + step
             if count:
-                seen[j][c] = count
+                counts[c] = count
             else:
-                del seen[j][c]
+                del counts[c]
+            if len(counts) != sat and colour[j] is None:
+                bucket[sat] ^= bit[j]
+                bucket[len(counts)] ^= bit[j]
 
     def search(used):
         nonlocal best
         if len(path) == g.n:
             best = (used, {vertices[i]: colour[i] for i in path})
             return
-        i = max((j for j in order if colour[j] is None), key=lambda j: len(seen[j]))
+        s = used
+        while not bucket[s]:
+            s -= 1
+        i = order[(bucket[s] & -bucket[s]).bit_length() - 1]
         for c in range(used + 1):
             if max(used, c + 1) >= best[0] or best[0] == lb:
                 return
@@ -252,9 +298,10 @@ def _largest_support_set(g: Graph) -> frozenset:
     _, fc = chi_fractional(g)
     if not fc.weights:
         return frozenset()
+    rank = g.rank
     return max(
         (s for s, _ in fc.weights),
-        key=lambda s: (len(s), [label_key(v) for v in sorted(s, key=label_key, reverse=True)]),
+        key=lambda s: (len(s), sorted(map(rank.__getitem__, s), reverse=True)),
     )
 
 
@@ -396,7 +443,7 @@ def hbar_colour(g: Graph) -> Colouring:
         return Colouring({}, 0)
     if g.m == 0:
         return Colouring({v: 0 for v in g.vertices}, 1)
-    v = max(g.vertices, key=lambda u: (g.degree(u), label_key(u)))
+    v = max(g.vertices, key=lambda u: (g.degree(u), g.rank[u]))
     outside = g.delete_vertices(g.neighbours(v))
     k1, col1 = chi_exact(outside)
     inner = g.induced_subgraph(g.neighbours(v))

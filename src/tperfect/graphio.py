@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .graphs import Graph, label_key, neighbour_masks
+from .graphs import Graph, neighbour_masks
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,12 @@ def encode_label(v):
 
 
 def decode_label(v):
-    if isinstance(v, list):
+    """The label that encode_label turned into v: JSON lists become tuples,
+    recursively.  A JSON object is no label.  The generator expression
+    keeps two frames per level of nesting, as label_key has, so a label the
+    JSON parser reads but label_key could not order raises RecursionError
+    here too; map() and, from Python 3.12, a list comprehension keep one."""
+    if type(v) is list:
         return tuple(decode_label(x) for x in v)
     if isinstance(v, dict):
         raise PreconditionError(f"a JSON object is not a vertex label: {v!r}")
@@ -163,8 +168,9 @@ def decode_label(v):
 
 def graph_data(g: Graph) -> dict:
     """{"adjacency": [[vertex, [neighbours]], ...]} in label order."""
+    rank = g.rank.__getitem__
     adjacency = [
-        [encode_label(v), [encode_label(w) for w in sorted(g.neighbours(v), key=label_key)]]
+        [encode_label(v), [encode_label(w) for w in sorted(g.neighbours(v), key=rank)]]
         for v in g.vertices
     ]
     return {"adjacency": adjacency}
@@ -285,7 +291,7 @@ def parse_fractional_colouring(data: dict):
         )
         for entry in _array(data["sets"], "sets")
     )
-    return FractionalColouring(weights=weights)
+    return FractionalColouring(weights=weights, total=_parse_fraction(data["total"]))
 
 
 def parse_witness(data: dict):

@@ -42,9 +42,20 @@ class Graph:
 
     No loops, no parallel edges; adjacency is stored symmetrically.
     Mutation-style operations return new graphs.
+
+    ``vertices`` lists the vertices in label order, and ``rank`` maps each
+    vertex to an int that orders them the same way, so that code sorting
+    or taking the least of a graph's vertices compares ints rather than
+    nested ``label_key`` tuples.  A graph built by ``__init__`` ranks each
+    vertex by its position in ``vertices``.  Induced subgraphs and deletions
+    share the rank of the graph they come from, which may hold vertices
+    they lack: their vertices are a subsequence of that graph's label-sorted
+    tuple, so its positions order them exactly as ``label_key`` does.  A
+    rank orders only the vertices of its graph; labels from elsewhere are
+    compared with ``label_key``.
     """
 
-    __slots__ = ("_adj", "_vertices", "_edges", "_odd_cycle")
+    __slots__ = ("_adj", "_vertices", "_edges", "_rank", "_odd_cycle")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
         vs = list(vertices)
@@ -59,12 +70,12 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        key = {v: label_key(v) for v in vs}
-        self._vertices = tuple(sorted(adj, key=key.__getitem__))
+        self._vertices = tuple(sorted(adj, key=label_key))
+        rank = self._rank = {v: i for i, v in enumerate(self._vertices)}
         self._edges = tuple(
             sorted(
-                ((u, v) for u in adj for v in adj[u] if key[u] < key[v]),
-                key=lambda e: (key[e[0]], key[e[1]]),
+                ((u, v) for u in adj for v in adj[u] if rank[u] < rank[v]),
+                key=lambda e: (rank[e[0]], rank[e[1]]),
             )
         )
         # filled by the first shortest_odd_cycle call: a tuple, or None
@@ -83,6 +94,10 @@ class Graph:
 
     def edges(self) -> tuple:
         return self._edges
+
+    @property
+    def rank(self) -> dict:
+        return self._rank
 
     @property
     def m(self) -> int:
@@ -130,13 +145,14 @@ class Graph:
 
     def _derived(self, keep: set) -> "Graph":
         """g[keep] for a set of vertices of g, without __init__: the parent's
-        label-ordered vertex and edge tuples stay ordered when filtered, and
-        its adjacency is already checked, so nothing is validated or sorted
-        again."""
+        label-ordered vertex and edge tuples stay ordered when filtered, its
+        rank still orders them, and its adjacency is already checked, so
+        nothing is validated or sorted again."""
         g = Graph.__new__(Graph)
         g._vertices = tuple(v for v in self._vertices if v in keep)
         g._edges = tuple(e for e in self._edges if e[0] in keep and e[1] in keep)
         g._adj = {v: self._adj[v] & keep for v in g._vertices}
+        g._rank = self._rank
         g._odd_cycle = _UNKNOWN
         return g
 

@@ -28,7 +28,7 @@ from .geometry import (
     slacks,
 )
 from .graphio import JSONData
-from .graphs import Graph, bits, has_k4_minor, label_key, neighbour_masks, shortest_odd_cycle
+from .graphs import Graph, bits, has_k4_minor, neighbour_masks, shortest_odd_cycle
 
 # Vertex enumeration cost grows quickly with dimension; refuse above this.
 POLYTOPE_DIM_CAP = 16
@@ -172,7 +172,7 @@ def qstab(g: Graph) -> HPolytope:
     order = vertex_order(g)
     rows = _nonneg_rows(order)
     for clq in maximal_cliques(g):
-        src = tuple(sorted(clq, key=label_key))
+        src = tuple(sorted(clq, key=g.rank.__getitem__))
         rows.append(_subset_row(order, clq, 1, "clique", src))
     return HPolytope(dim=len(order), inequalities=tuple(rows))
 

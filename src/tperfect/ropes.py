@@ -34,7 +34,6 @@ from .graphs import (
     covers,
     is_path_induced,
     is_stable,
-    label_key,
     odd_girth,
 )
 
@@ -387,7 +386,7 @@ def earlier_witness(g: Graph, grading: StableGrading, c: int):
             "the grading argument collapsed (input violates the hypothesis)",
             detail={"chi_active": chi_a, "needed": c},
         )
-    w = min(comp, key=lambda v: (idx[v], label_key(v)))
+    w = min(comp, key=lambda v: (idx[v], g.rank[v]))
     x = frozenset(comp)
     _audit_earlier(g, grading, x, first[w])
     return x, first[w]
@@ -424,20 +423,20 @@ def earlier_witness_tf(g: Graph, grading: StableGrading, c: int):
         raise PreconditionError("graph contains a triangle")
     x_prime, (e1, e2) = earlier_witness(g, grading, c + 1)
     with_nbr = [w for w in (e1, e2) if g.neighbours(w) & x_prime]
-    v_prime = min(with_nbr, key=label_key)
+    v_prime = min(with_nbr, key=g.rank.__getitem__)
     u_prime = e2 if v_prime == e1 else e1
     comp, _ = _max_chi_component(g, x_prime - g.neighbours(v_prime))
     if not comp:
         # X' is swallowed by N(v') (possible only when chi(X') = 1); any
         # single neighbour of v' in X' works, and it cannot touch u' in a
         # triangle-free graph
-        t = min(g.neighbours(v_prime) & x_prime, key=label_key)
+        t = min(g.neighbours(v_prime) & x_prime, key=g.rank.__getitem__)
         x, u, v = frozenset([t]), u_prime, v_prime
     elif g.neighbours(u_prime) & comp:
         x, u, v = frozenset(comp), v_prime, u_prime
     else:
         nbrs = g.neighbours(v_prime) & x_prime
-        w = min((t for t in nbrs if g.neighbours(t) & comp), key=label_key)
+        w = min((t for t in nbrs if g.neighbours(t) & comp), key=g.rank.__getitem__)
         x, u, v = frozenset(comp | {w}), u_prime, v_prime
     _audit_earlier_tf(g, grading, x, u, v)
     return x, u, v
@@ -482,6 +481,7 @@ def _lex_shortest_path(g: Graph, source, target, within) -> list:
     proves, so the queue never runs dry."""
     if source == target:
         return [source]
+    rank = g.rank
     parent = {source: None}
     queue = deque([source])
     while True:
@@ -491,7 +491,7 @@ def _lex_shortest_path(g: Graph, source, target, within) -> list:
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
             return path[::-1]
-        for w in sorted(g.neighbours(u) & within, key=label_key):
+        for w in sorted(g.neighbours(u) & within, key=rank.__getitem__):
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
@@ -664,7 +664,7 @@ def _induction_branch_near(g, b0, c0, q, c, levels, t, m_set):
     two level-respecting paths down to q.  Both paths exist: u' and q' lie
     in C_0, inside level t + 1, so each has a neighbour in level t, which a
     path through levels t - 1, ..., 0 joins to q."""
-    m_t = sorted(levels[t], key=label_key)
+    m_t = sorted(levels[t], key=g.rank.__getitem__)
     _, c_prime, u_prime, q_prime = _graded_witness(g, c0, m_t, g.neighbours, c)
     walkable = m_set | levels[t]
     path_u = _lex_shortest_path(g, q, u_prime, walkable)
@@ -683,7 +683,7 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
     B' and lies in the pool; likewise for q'.  Both base paths exist too:
     each connector has a neighbour in M, and g[M] is connected and holds q
     (see rope_induction_step)."""
-    order = sorted(m_set, key=lambda v: (level[v], label_key(v)))
+    order = sorted(m_set, key=lambda v: (level[v], g.rank[v]))
     grading, c_prime, u_prime, q_prime = _graded_witness(
         g, c_h, order, lambda m: frozenset().union(*map(g.neighbours, g.neighbours(m) & b_h)), c
     )
@@ -694,7 +694,7 @@ def _induction_branch_through(g, b_h, c_h, q, c, m_set, level):
     pool = b_h - b_prime
 
     def connector(i, w):  # the least vertex of the pool joining order[i] to w
-        return min(pool & g.neighbours(order[i]) & g.neighbours(w), key=label_key)
+        return min(pool & g.neighbours(order[i]) & g.neighbours(w), key=g.rank.__getitem__)
 
     b_u, b_q = connector(i_u, u_prime), connector(i_q, q_prime)
     base_u = _lex_shortest_path(g, q, b_u, m_set)
@@ -807,17 +807,18 @@ def _rope_from_chains(g: Graph, x_set) -> Optional[ArithmeticRope]:
     while leaves:
         sub = sub.delete_vertices(leaves)
         leaves = [v for v in sub.vertices if sub.degree(v) <= 1]
+    rank = sub.rank
     by_ends = {}
     for a in sub.vertices:
         if sub.degree(a) < 3:
             continue
-        for w in sorted(sub.neighbours(a), key=label_key):
+        for w in sorted(sub.neighbours(a), key=rank.__getitem__):
             chain = [a, w]
             while sub.degree(chain[-1]) == 2:
                 (nxt,) = sub.neighbours(chain[-1]) - {chain[-2]}
                 chain.append(nxt)
             b = chain[-1]
-            first = (label_key(a), label_key(w)) < (label_key(b), label_key(chain[-2]))
+            first = (rank[a], rank[w]) < (rank[b], rank[chain[-2]])
             if sub.degree(b) >= 3 and first:
                 by_ends.setdefault((a, b), []).append(chain)
     per_ends = 2 if len(by_ends) == 1 else 1
@@ -832,7 +833,7 @@ def _rope_from_chains(g: Graph, x_set) -> Optional[ArithmeticRope]:
                 pairs.append(pair)
     if len(pairs) < 2 or any(len(ids) != 2 for ids in incidence.values()):
         return None
-    order, taken = [min(incidence, key=label_key)], []
+    order, taken = [min(incidence, key=rank.__getitem__)], []
     for _ in pairs:
         i = next((i for i in incidence[order[-1]] if i not in taken), None)
         if i is None:  # the cycle closed before taking every pair
@@ -901,7 +902,7 @@ def _find_rope_pipeline(g: Graph, x_set, r: int, c: int) -> ArithmeticRope:
         raise VerificationError(
             "rope pipeline: levelling too shallow", detail={"depth": len(levels) - 1}
         )
-    q1 = min((v for v in levels[s] if g.neighbours(v) & c_comp), key=label_key)
+    q1 = min((v for v in levels[s] if g.neighbours(v) & c_comp), key=g.rank.__getitem__)
     b_level = frozenset(levels[s])
     c_level = frozenset(c_comp)
     broken = build_broken_rope(g, b_level, c_level, q1, r, c)
@@ -927,16 +928,17 @@ def _close_broken_rope(g, broken: BrokenRopeResult, levels, s, q1) -> Arithmetic
     end = rope.end
     anchors = rope.anchors
     near = frozenset().union(*(g.ball(a, 4) for a in anchors))
-    x = min(broken.c_prime - near, key=label_key, default=None)
+    rank = g.rank
+    x = min(broken.c_prime - near, key=rank.__getitem__, default=None)
     if x is None:
         raise VerificationError(
             "rope pipeline: no deep vertex far from all anchors",
             detail={"branch": "closing-x"},
         )
-    b = min((v for v in broken.b_prime if g.has_edge(v, x)), key=label_key)
+    b = min((v for v in broken.b_prime if g.has_edge(v, x)), key=rank.__getitem__)
     p1 = _lex_shortest_path(g, end, b, broken.c_prime)
-    a1 = min((v for v in levels[s - 1] if g.has_edge(v, q1)), key=label_key)
-    a2 = min((v for v in levels[s - 1] if g.has_edge(v, b)), key=label_key)
+    a1 = min((v for v in levels[s - 1] if g.has_edge(v, q1)), key=rank.__getitem__)
+    a2 = min((v for v in levels[s - 1] if g.has_edge(v, b)), key=rank.__getitem__)
     low = frozenset().union(*levels[: s - 1])
     p2 = _lex_shortest_path(g, a1, a2, low)
     # closing path: end ... b, then a2 ... a1 through the lower levels, then q1

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import PreconditionError, UnknownVertexError, VerificationError
 from .graphio import JSONData
-from .graphs import Graph, bits, is_cycle_induced, is_stable, label_key, neighbour_masks, odd_girth
+from .graphs import Graph, bits, is_cycle_induced, is_stable, neighbour_masks, odd_girth
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class TraceBuilder:
                 f"contraction at {v!r} illegal: neighbourhood not stable"
             )
         merged = nbrs | {v}
-        rep = min(merged, key=label_key)
+        rep = min(merged, key=g.rank.__getitem__)
         outside = [u for u in g.vertices if u not in merged]
         edges = [e for e in g.edges() if merged.isdisjoint(e)]
         edges += [(rep, u) for u in outside if not merged.isdisjoint(g.neighbours(u))]
@@ -138,7 +138,7 @@ def _cycle_without(g: Graph, v) -> Optional[list]:
     nbrs = {u: g.neighbours(u) - {v} for u in rest}
     if any(len(ns) != 2 for ns in nbrs.values()):
         return None
-    order = [rest[0], min(nbrs[rest[0]], key=label_key)]
+    order = [rest[0], min(nbrs[rest[0]], key=g.rank.__getitem__)]
     while len(order) < len(rest):
         a, b = nbrs[order[-1]]
         nxt = b if a == order[-2] else a

@@ -3,7 +3,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from tperfect.graphs import Graph
 
@@ -75,6 +75,25 @@ def mixed_labels(rng: random.Random, g: Graph) -> Graph:
     (i % 3, "ti"), drawn by rng."""
     labels = [rng.choice((i, f"v{i}", (i % 3, f"t{i}"))) for i in g.vertices]
     return Graph(labels, [(labels[u], labels[v]) for u, v in g.edges()])
+
+
+# vertex labels of every kind JSON carries, bools included, nested in tuples
+LABELS = st.recursive(
+    st.integers(-3, 30) | st.text("ab", max_size=2) | st.booleans(),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=4,
+)
+
+
+@st.composite
+def json_labelled_graphs(draw, max_n: int) -> Graph:
+    """A graph on 0..max_n distinct LABELS, of a drawn edge density."""
+    n = draw(st.integers(0, max_n))
+    labels = draw(st.lists(LABELS, unique=True, min_size=n, max_size=n))
+    density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.8)))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[:i]]
+    return Graph(labels, [e for e in pairs if rng.random() < density])
 
 
 def nx_graph(g: Graph) -> nx.Graph:

@@ -355,6 +355,20 @@ def test_fractional_set_outside_the_graph_is_rejected(capsys, tmp_path):
     assert err.splitlines()[0] == "certificate rejected: fractional colouring names a missing vertex"
 
 
+def test_fractional_total_other_than_the_weight_sum_is_rejected(capsys, tmp_path):
+    # the sets of chi*(C5) = 5/2, claiming a total of 1
+    data = json.loads(run(capsys, "chistar", "corpus:C5", "--json")[1])
+    assert data["total"] == "5/2"
+    data["total"] = "1/1"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "corpus:C5", str(path))
+    assert code == 1 and out == ""
+    message, detail = err.splitlines()
+    assert message == "certificate rejected: stated total is not the sum of the weights"
+    assert json.loads(detail.removeprefix("detail: ")) == {"sum": "5/2", "total": "1/1"}
+
+
 def test_unknown_vertex_message_is_plain(capsys):
     code, out, err = run(capsys, "tcontract", "corpus:C5", "--vertex", "99")
     assert code == 2 and out == "" and err == "error: unknown vertex 99\n"
@@ -523,6 +537,15 @@ def _zero_denominator_weight(capsys):
     return json.dumps(data)
 
 
+def _fractional_total(text):
+    def make_text(capsys):
+        data = _k4_certificate(capsys, "chistar")
+        data["total"] = text
+        return json.dumps(data)
+
+    return make_text
+
+
 def _null_order(capsys):
     data = _k4_certificate(capsys, "tperfect")
     data["order"] = None
@@ -621,6 +644,8 @@ def _nested_envelope(capsys):
         ("verify", _drop_point_key),
         ("verify", _extra_point_key),
         ("verify", _zero_denominator_weight),
+        ("verify", _fractional_total("abc")),
+        ("verify", _fractional_total("1/0")),
         ("verify", _null_order),
         ("verify", _assignment_as_list),
         ("verify", _string_colour_count),
@@ -646,6 +671,8 @@ def _nested_envelope(capsys):
         "point-missing-key",
         "point-extra-key",
         "weight-1/0",
+        "total-abc",
+        "total-1/0",
         "order-null",
         "assignment-list",
         "colour-count-string",

@@ -3,7 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import json_labelled_graphs
 from tperfect.errors import PreconditionError, VerificationError
 from tperfect.colouring import (
     Certificate,
@@ -20,7 +22,7 @@ from tperfect.colouring import (
     verify_fractional_colouring,
 )
 from tperfect.corpus import cycle, complete, fig1a, join, make, wheel
-from tperfect.graphs import odd_girth
+from tperfect.graphs import label_key, odd_girth
 
 F = Fraction
 
@@ -217,3 +219,83 @@ def test_chi_exact_colourings_pinned(monkeypatch):
     for name, g in batch:
         h.update(f"{name} {chi_exact(g)[1].to_json()}\n".encode())
     assert h.hexdigest() == "a931b762c49291fdcc8f2ff2fdbb3138334e390a98b2ffa836373c591c49fd36"
+
+
+def _chi_by_stable_covers(g):
+    """The fewest stable sets covering V(g), by dynamic programming over the
+    subsets of V(g): each subset is covered by a stable set holding its
+    lowest vertex plus a cover of the rest."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nb = [sum(1 << index[w] for w in g.neighbours(v)) for v in g.vertices]
+    full = (1 << g.n) - 1
+    stable = [all(not (mask >> i & 1 and nb[i] & mask) for i in range(g.n)) for mask in range(full + 1)]
+    fewest = [0] + [math.inf] * full
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sub = mask
+        while sub:
+            if sub & low and stable[sub]:
+                fewest[mask] = min(fewest[mask], fewest[mask ^ sub] + 1)
+            sub = (sub - 1) & mask
+    return fewest[full]
+
+
+def _chi_exact_linear_scan(g):
+    """chi_exact's colouring as the search found it before saturation
+    buckets: every node scans all vertices for the first uncoloured one of
+    largest saturation, in order of largest degree, then label order."""
+    vertices = g.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    nbrs = [[index[w] for w in g.neighbours(v)] for v in vertices]
+    order = sorted(range(g.n), key=lambda i: -len(nbrs[i]))
+    clique = []
+    for v in sorted(vertices, key=lambda v: (-g.degree(v), label_key(v))):
+        if all(g.has_edge(v, u) for u in clique):
+            clique.append(v)
+    lb = len(clique)
+    colour = [None] * g.n
+    seen = [{} for _ in vertices]
+    path = []
+    best = (math.inf, None)
+
+    def paint(i, c, step):
+        colour[i] = c if step == 1 else None
+        for j in nbrs[i]:
+            count = seen[j].get(c, 0) + step
+            if count:
+                seen[j][c] = count
+            else:
+                del seen[j][c]
+
+    def search(used):
+        nonlocal best
+        if len(path) == g.n:
+            best = (used, {vertices[i]: colour[i] for i in path})
+            return
+        i = max((j for j in order if colour[j] is None), key=lambda j: len(seen[j]))
+        for c in range(used + 1):
+            if max(used, c + 1) >= best[0] or best[0] == lb:
+                return
+            if c not in seen[i]:
+                path.append(i)
+                paint(i, c, 1)
+                search(max(used, c + 1))
+                paint(i, c, -1)
+                path.pop()
+
+    search(0)
+    return best
+
+
+@given(json_labelled_graphs(8))
+def test_chi_exact_is_the_fewest_stable_sets_covering(g):
+    assert chi_exact(g)[0] == _chi_by_stable_covers(g)
+
+
+@settings(max_examples=150)
+@given(json_labelled_graphs(24))
+def test_chi_exact_colouring_is_the_linear_scan_colouring(g):
+    # the same colours, assigned in the same order
+    k, col = chi_exact(g)
+    ref_k, ref = _chi_exact_linear_scan(g)
+    assert (k, list(col.assignment.items())) == (ref_k, list(ref.items()))

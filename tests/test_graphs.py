@@ -17,7 +17,7 @@ from tperfect.graphs import (
     shortest_odd_cycle,
 )
 
-from conftest import nx_graph
+from conftest import json_labelled_graphs, nx_graph
 
 
 def cycle(n):
@@ -249,6 +249,24 @@ def test_derived_graphs_and_traversal_match_scratch_and_networkx(drawn):
                 root = min(comp, key=label_key)
                 parity.update((u, d % 2) for u, d in nx.single_source_shortest_path_length(ref, root).items())
             assert sides == tuple(frozenset(u for u in graph.vertices if parity[u] == i) for i in (0, 1))
+
+
+@given(json_labelled_graphs(16), st.data())
+def test_rank_orders_every_derived_graph_as_label_key_does(g, data):
+    # a chain of induced subgraphs and deletions shares the rank of g; it
+    # orders the vertices of each graph of the chain as label_key does, and
+    # each graph's edges are the label_key-sorted list __init__ once made
+    chain = [g]
+    for _ in range(data.draw(st.integers(0, 4))):
+        h = chain[-1]
+        part = data.draw(st.sets(st.sampled_from(h.vertices))) if h.n else set()
+        chain.append(h.induced_subgraph(part) if data.draw(st.booleans()) else h.delete_vertices(part))
+    for h in chain:
+        assert h.rank is g.rank
+        shuffled = data.draw(st.permutations(h.vertices))
+        assert sorted(shuffled, key=h.rank.__getitem__) == sorted(shuffled, key=label_key) == list(h.vertices)
+        edges = [(u, v) for u in h.vertices for v in h.neighbours(u) if label_key(u) < label_key(v)]
+        assert list(h.edges()) == sorted(edges, key=lambda e: (label_key(e[0]), label_key(e[1])))
 
 
 def test_label_key_total_order():
